@@ -9,6 +9,7 @@ gaps from mechanism rather than from hard-coded outcomes.
 
 from .intel import UrlIntel, IntelService, suspicion_score
 from .engines import DetectionEngine, default_engine_fleet
+from .fleet import EngineFleet
 from .virustotal import VirusTotal, ScanReport
 from .blocklists import Blocklist, BlocklistEntry, default_blocklists
 from .takedown import AbuseDesk, RegistrarDesk, ReportOutcome
@@ -27,6 +28,7 @@ __all__ = [
     "suspicion_score",
     "DetectionEngine",
     "default_engine_fleet",
+    "EngineFleet",
     "VirusTotal",
     "ScanReport",
     "Blocklist",

@@ -76,6 +76,11 @@ class DetectionEngine:
         self._seed = int(rng.integers(0, 2 ** 63 - 1))
         self._verdicts: Dict[str, Tuple[bool, Optional[int]]] = {}
 
+    @property
+    def seed(self) -> int:
+        """The engine's own seed; with a URL's hash it seeds each verdict."""
+        return self._seed
+
     def _url_rng(self, url_text: str) -> np.random.Generator:
         return np.random.default_rng(
             np.random.SeedSequence([self._seed, _stable_hash(url_text)])

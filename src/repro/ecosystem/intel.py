@@ -24,7 +24,7 @@ map that score to (detect?, delay) outcomes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -209,6 +209,73 @@ def suspicion_score(
     if score <= 0.0:
         return 0.0
     return float(1.0 - np.exp(-1.35 * score))
+
+
+#: Every weight ``suspicion_score`` reads, in the order it adds them. The
+#: age signals are alternatives, as are the two certificate signals, so the
+#: active signals of any URL appear here in exactly the score's order.
+SIGNAL_ORDER = (
+    "fresh_domain", "young_domain", "old_domain_trust", "cheap_tld",
+    "no_https", "dv_cert", "ov_ev_cert_trust", "in_ct_log", "indexed_trust",
+    "credential_form", "brand_title_mismatch", "sensitive_url_words",
+    "kit_markup", "malicious_download", "external_iframe", "linkout_button",
+    "hidden_elements",
+)
+_SIGNAL_INDEX = {name: i for i, name in enumerate(SIGNAL_ORDER)}
+
+
+def signal_vector(intel: UrlIntel) -> Optional[List[float]]:
+    """Multiplier of each ``SIGNAL_ORDER`` weight in ``suspicion_score``.
+
+    1.0 for an active signal, 0.0 for an inactive one, and the capped word
+    count for ``sensitive_url_words``; ``None`` for an unreachable URL,
+    which scores 0 under any weights. Starting from 0.05 and adding
+    ``weight * multiplier`` in ``SIGNAL_ORDER`` repeats the score's raw sum
+    bit for bit: inactive terms add a signed zero, which changes no sum.
+    """
+    if not intel.reachable:
+        return None
+    vector = [0.0] * len(SIGNAL_ORDER)
+
+    def on(name: str) -> None:
+        vector[_SIGNAL_INDEX[name]] = 1.0
+
+    age = intel.domain_age_days
+    if age is not None:
+        if age < 30:
+            on("fresh_domain")
+        elif age < 365:
+            on("young_domain")
+        elif age > 5 * 365:
+            on("old_domain_trust")
+    if intel.cheap_tld:
+        on("cheap_tld")
+    if not intel.https:
+        on("no_https")
+    if intel.cert_level is ValidationLevel.DV:
+        on("dv_cert")
+    elif intel.cert_level in (ValidationLevel.OV, ValidationLevel.EV):
+        on("ov_ev_cert_trust")
+    if intel.in_ct_log:
+        on("in_ct_log")
+    if intel.indexed:
+        on("indexed_trust")
+    if intel.has_credential_form:
+        on("credential_form")
+    if intel.brand_title_mismatch:
+        on("brand_title_mismatch")
+    vector[_SIGNAL_INDEX["sensitive_url_words"]] = float(min(intel.sensitive_url_words, 3))
+    if intel.kit_markup:
+        on("kit_markup")
+    if intel.malicious_download:
+        on("malicious_download")
+    if intel.external_iframe:
+        on("external_iframe")
+    if intel.linkout_button:
+        on("linkout_button")
+    if intel.hidden_elements:
+        on("hidden_elements")
+    return vector
 
 
 class IntelService:

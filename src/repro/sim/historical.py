@@ -212,11 +212,13 @@ class HistoricalPipeline:
         dyndns_domains = {domain for _n, domain in DYNDNS_PROVIDERS}
         week = 7 * 24 * 60
 
-        for sample in stream:
-            if not sample.url.has_subdomain:
-                dataset.dropped_no_sld += 1
-                continue
+        with_sld = [sample for sample in stream if sample.url.has_subdomain]
+        dataset.dropped_no_sld = len(stream) - len(with_sld)
+        # First sight of every URL, then the week-later rescans: the first
+        # rescan schedules the whole corpus in one batched fleet call.
+        for sample in with_sld:
             virustotal.scan(sample.url, now=0)
+        for sample in with_sld:
             detections = virustotal.scan(sample.url, now=week).positives
             if detections < VT_PHISHING_THRESHOLD:
                 dataset.benign_or_undetected += 1

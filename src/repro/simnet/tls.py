@@ -20,7 +20,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Set
 
 from ..errors import CertificateError
 from .url import URL
@@ -105,12 +105,15 @@ class CTLog:
 
     def __init__(self) -> None:
         self._entries: List[CTLogEntry] = []
+        #: Every logged common name, for ``contains_host``.
+        self._common_names: Set[str] = set()
 
     def __len__(self) -> int:
         return len(self._entries)
 
     def append(self, certificate: Certificate, now: int) -> None:
         self._entries.append(CTLogEntry(certificate=certificate, logged_at=now))
+        self._common_names.add(certificate.common_name)
 
     def entries_since(self, since: int) -> List[CTLogEntry]:
         return [e for e in self._entries if e.logged_at >= since]
@@ -129,8 +132,7 @@ class CTLog:
         Wildcard parents do **not** count: the point of the FWB evasion is
         that the phishing host itself never shows up.
         """
-        host = host.lower()
-        return any(e.certificate.common_name == host for e in self._entries)
+        return host.lower() in self._common_names
 
 
 class CertificateAuthority:

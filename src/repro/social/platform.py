@@ -8,6 +8,7 @@ poll), moderation scheduling, and report-driven removal.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from typing import Dict, Iterable, List, Optional
 
 import numpy as np
@@ -38,6 +39,10 @@ class SocialPlatform:
         self.user_deletion_rate = user_deletion_rate
         self._posts: Dict[str, Post] = {}
         self._ordered: List[Post] = []
+        #: ``created_at`` of each post in ``_ordered``; sorted while posts
+        #: arrive in time order, which lets ``posts_between`` bisect.
+        self._created: List[int] = []
+        self._in_time_order = True
         self._counter = itertools.count(1)
         #: (post_id, scheduled removal time), applied lazily.
         self._pending_removals: List[tuple] = []
@@ -61,7 +66,10 @@ class SocialPlatform:
             created_at=now,
         )
         self._posts[post.post_id] = post
+        if self._created and now < self._created[-1]:
+            self._in_time_order = False
         self._ordered.append(post)
+        self._created.append(now)
         return post
 
     def publish_url(
@@ -129,7 +137,11 @@ class SocialPlatform:
         """Posts created in ``[start, end)`` — the streaming poll window."""
         if end < start:
             raise StreamError("query window end precedes start")
-        return [p for p in self._ordered if start <= p.created_at < end]
+        if not self._in_time_order:
+            return [p for p in self._ordered if start <= p.created_at < end]
+        return self._ordered[
+            bisect_left(self._created, start):bisect_left(self._created, end)
+        ]
 
     def is_post_live(self, post_id: str, now: int) -> bool:
         self.apply_moderation(now)

@@ -2,6 +2,9 @@
 
 import pytest
 
+from repro.config import SeedBank
+from repro.ecosystem import IntelService, default_engine_fleet
+from repro.simnet import Browser
 from repro.sim.historical import (
     D1Dataset,
     DYNDNS_PROVIDERS,
@@ -71,6 +74,35 @@ class TestPipeline:
     def test_benign_mass_filtered(self, pipeline_run):
         _pipeline, dataset = pipeline_run
         assert dataset.benign_or_undetected > 0
+
+
+    def test_batched_labels_match_per_engine_reference(self, pipeline_run):
+        """VT labels come from one batched fleet call; every engine's own
+        ``evaluate`` labels the corpus identically."""
+        _pipeline, dataset = pipeline_run
+        fresh = HistoricalPipeline(seed=23)
+        stream, _quarters = fresh.generate_stream(0.012)
+        intel = IntelService(fresh.web, Browser(fresh.web))
+        engines = default_engine_fleet(SeedBank(23))
+        dyndns_domains = {domain for _name, domain in DYNDNS_PROVIDERS}
+        week = 7 * 24 * 60
+        fwb, dyndns, other = [], [], 0
+        for sample in stream:
+            if not sample.url.has_subdomain:
+                continue
+            url_intel = intel.intel_for(sample.url, 0)
+            verdicts = [engine.evaluate(url_intel, 0) for engine in engines]
+            if sum(d and t <= week for d, t in verdicts) < VT_PHISHING_THRESHOLD:
+                other += 1
+            elif sample.url.registered_domain in dyndns_domains:
+                dyndns.append(str(sample.url))
+            elif fresh.web.fwb_for(sample.url) is not None:
+                fwb.append(str(sample.url))
+            else:
+                other += 1
+        assert [str(s.url) for s in dataset.fwb_phishing] == fwb
+        assert [str(s.url) for s in dataset.dyndns_phishing] == dyndns
+        assert dataset.benign_or_undetected == other
 
 
 class TestD1Dataset:

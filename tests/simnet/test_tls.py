@@ -79,6 +79,40 @@ class TestCTLog:
         assert len(log.entries_since(0)) == 1
         assert len(log.entries_since(51)) == 0
 
+    def test_contains_host_exact_common_name_only(self):
+        log = CTLog()
+        assert not log.contains_host("weebly.com")
+        log.append(Certificate(
+            common_name="weebly.com", organization="Weebly",
+            level=ValidationLevel.OV, issued_at=0, expires_at=100, wildcard=True,
+        ), now=0)
+        assert log.contains_host("weebly.com")
+        # A wildcard parent does not log its subdomains.
+        assert not log.contains_host("scam.weebly.com")
+        assert not log.contains_host("com")
+
+    def test_contains_host_lowercases_the_query(self, ca):
+        ca.issue_dv("Fresh-Scam.XYZ", now=0)
+        assert ca.ct_log.contains_host("fresh-scam.xyz")
+        assert ca.ct_log.contains_host("FRESH-scam.xyz")
+
+    def test_contains_host_matches_common_name_verbatim(self):
+        """Queries are lowercased but logged names are not: a mixed-case
+        common name (never issued by the CA) matches no query."""
+        log = CTLog()
+        log.append(Certificate(
+            common_name="Mixed.Example.com", organization="m",
+            level=ValidationLevel.DV, issued_at=0, expires_at=100,
+        ), now=0)
+        assert not log.contains_host("Mixed.Example.com")
+        assert not log.contains_host("mixed.example.com")
+
+    def test_contains_host_sees_every_append(self, ca):
+        for i in range(50):
+            ca.issue_dv(f"host{i}.xyz", now=i)
+        assert all(ca.ct_log.contains_host(f"host{i}.xyz") for i in range(50))
+        assert not ca.ct_log.contains_host("host50.xyz")
+
     def test_fingerprint_stability(self):
         kwargs = dict(
             common_name="x.example.com", organization="x",

@@ -92,6 +92,38 @@ class TestPlatform:
         with pytest.raises(StreamError):
             twitter.posts_between(10, 5)
 
+    def test_empty_platform_window(self, twitter):
+        assert twitter.posts_between(0, 10) == []
+        assert twitter.posts_between(7, 7) == []
+
+    def test_window_is_half_open(self, twitter):
+        for now in (0, 10, 10, 20, 30):
+            twitter.publish(str(now), "u", now=now)
+        assert [p.text for p in twitter.posts_between(10, 20)] == ["10", "10"]
+        assert [p.text for p in twitter.posts_between(0, 10)] == ["0"]
+        assert [p.text for p in twitter.posts_between(10, 10)] == []
+        assert [p.text for p in twitter.posts_between(20, 31)] == ["20", "30"]
+        assert [p.text for p in twitter.posts_between(31, 100)] == []
+        assert [p.text for p in twitter.posts_between(-5, 1)] == ["0"]
+
+    def test_out_of_order_publish_keeps_publish_order(self, twitter):
+        for text, now in (("a", 10), ("b", 30), ("c", 20), ("d", 25), ("e", 5)):
+            twitter.publish(text, "u", now=now)
+        assert [p.text for p in twitter.posts_between(10, 26)] == ["a", "c", "d"]
+        assert [p.text for p in twitter.posts_between(0, 100)] == ["a", "b", "c", "d", "e"]
+        assert [p.text for p in twitter.posts_between(5, 10)] == ["e"]
+        # Posts published later stay visible to the fallback.
+        twitter.publish("f", "u", now=21)
+        assert [p.text for p in twitter.posts_between(20, 22)] == ["c", "f"]
+
+    def test_window_matches_linear_filter(self, twitter, rng):
+        times = sorted(int(t) for t in rng.integers(0, 500, size=200))
+        for i, now in enumerate(times):
+            twitter.publish(f"p{i}", "u", now=now)
+        for start, end in ((0, 500), (17, 17), (100, 250), (499, 600), (3, 4)):
+            expected = [p for p in twitter.all_posts() if start <= p.created_at < end]
+            assert twitter.posts_between(start, end) == expected
+
     def test_scan_schedules_removal(self, twitter):
         post = twitter.publish_url(
             parse_url("https://scam.xyz.example.com/"), "attacker", 0, phishing=True
