@@ -155,26 +155,25 @@ def serve_consistency(document: Any) -> List[str]:
 
 
 def cache_consistency(document: Any) -> List[str]:
-    """Cross-counter invariants for the feature-cache / batch counters.
+    """Cross-counter invariants for the page-cache / batch counters.
 
-    The snapshot-keyed caches (``features.cache.*``, ``preprocess.cache.*``)
-    and the batched classify path (``classify.batch.*``) appear in both
-    campaign and serve exports. Their invariants hold at any point in a
-    run, not only after a drain:
+    The snapshot-keyed page cache (``preprocess.cache.*``) and the batched
+    classify path (``classify.batch.*``) appear in both campaign and serve
+    exports. Their invariants hold at any point in a run, not only after a
+    drain:
 
     * an entry must be inserted (a miss) before it can be evicted;
     * every counted batch holds at least one row.
     """
     counters = document.get("metrics", {}).get("counters", {})
     errors: List[str] = []
-    for cache in ("features.cache", "preprocess.cache"):
-        evicted = counters.get(f"{cache}.evicted", 0)
-        misses = counters.get(f"{cache}.miss", 0)
-        if evicted > misses:
-            errors.append(
-                f"cache: {cache}.evicted={evicted} exceeds "
-                f"{cache}.miss={misses} (evictions require prior inserts)"
-            )
+    evicted = counters.get("preprocess.cache.evicted", 0)
+    misses = counters.get("preprocess.cache.miss", 0)
+    if evicted > misses:
+        errors.append(
+            f"cache: preprocess.cache.evicted={evicted} exceeds "
+            f"preprocess.cache.miss={misses} (evictions require prior inserts)"
+        )
     calls = counters.get("classify.batch.calls", 0)
     rows = counters.get("classify.batch.rows", 0)
     if calls > rows:

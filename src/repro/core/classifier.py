@@ -80,21 +80,14 @@ class FreePhishClassifier:
 
     def classify_page(self, page: ProcessedPage) -> TimedPrediction:
         """Classify one processed page, timing the inference."""
-        start = time.perf_counter()  # reprolint: disable=RP101,RP105 — runtime_seconds reports real inference latency
-        probability = float(self.predict_proba(page.fwb_vector.reshape(1, -1))[0, 1])
-        elapsed = time.perf_counter() - start  # reprolint: disable=RP101,RP105 — runtime_seconds reports real inference latency
-        return TimedPrediction(
-            label=int(probability >= self.threshold),
-            probability=probability,
-            runtime_seconds=elapsed,
-        )
+        return self.classify_pages([page])[0]
 
     def classify_pages(self, pages: Sequence[ProcessedPage]) -> List[TimedPrediction]:
         """Classify a batch of pages with **one** ``predict_proba`` call.
 
         Inference over the flattened ensembles is elementwise per row, so
-        each returned probability is bit-identical to what
-        :meth:`classify_page` would produce for that page alone. The
+        each returned probability is bit-identical to classifying that page
+        in a batch of its own (:meth:`classify_page`). The
         measured runtime is amortized equally across the batch (Table 2's
         per-URL runtime column).
         """

@@ -17,14 +17,12 @@ FWB-specific features:
 from __future__ import annotations
 
 import hashlib
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..errors import FeatureError
-from ..obs.instrument import NULL_INSTRUMENTATION, Instrumentation
 from ..sitegen.brands import BrandCatalog, default_brand_catalog
 from ..simnet.browser import PageSnapshot
 from ..simnet.url import (
@@ -80,18 +78,15 @@ _BANNER_TEXT_HINTS = (
     "report abuse", "blog at", "free website",
 )
 
-#: Default capacity of the snapshot-keyed feature/page caches.
-DEFAULT_FEATURE_CACHE_SIZE = 2048
-
 
 def snapshot_key(url: Union[URL, str], markup: str) -> str:
     """Deterministic content hash identifying one observed page version.
 
     The **only** sanctioned producer of feature-cache keys (reprolint
-    RP304): every memoized feature vector or processed page is stored under
-    ``snapshot_key(url, markup)``, so a re-observation whose markup changed
-    in any way misses the cache and is re-featurized, while byte-identical
-    re-observations skip HTML parsing entirely.
+    RP304): :class:`~repro.core.preprocess.Preprocessor` stores each
+    processed page under ``snapshot_key(url, markup)``, so a re-observation
+    whose markup changed in any way misses the cache and is re-featurized,
+    while byte-identical re-observations skip HTML parsing entirely.
     """
     digest = hashlib.sha256()
     digest.update(str(url).encode("utf-8"))
@@ -124,39 +119,17 @@ class PageFeatures:
 class FeatureExtractor:
     """Extracts :class:`PageFeatures` from a URL + page snapshot/markup.
 
-    Extraction is memoized under :func:`snapshot_key`: re-extracting a page
-    whose (URL, markup) pair is unchanged returns the cached
-    :class:`PageFeatures` without touching the DOM. The cache is a bounded
-    LRU (``cache_size`` entries, 0 disables); hit/miss/eviction counts flow
-    into the attached instrumentation as ``features.cache.*`` counters.
+    Extraction always computes; memoizing processed pages is the job of
+    :class:`~repro.core.preprocess.Preprocessor`'s snapshot-keyed cache.
     """
 
-    def __init__(
-        self,
-        catalog: Optional[BrandCatalog] = None,
-        cache_size: int = DEFAULT_FEATURE_CACHE_SIZE,
-        instrumentation: Optional[Instrumentation] = None,
-    ) -> None:
+    def __init__(self, catalog: Optional[BrandCatalog] = None) -> None:
         self.catalog = catalog if catalog is not None else default_brand_catalog()
         self._brand_tokens: List[Tuple[str, str]] = []
         for brand in self.catalog:
             for token in brand.tokens():
                 if len(token) >= 4:
                     self._brand_tokens.append((token, brand.legitimate_domain))
-        self.cache_size = cache_size
-        self._cache: "OrderedDict[str, PageFeatures]" = OrderedDict()
-        self.bind_instrumentation(instrumentation)
-
-    def bind_instrumentation(
-        self, instrumentation: Optional[Instrumentation]
-    ) -> None:
-        """(Re)attach the cache counters to an instrumentation object."""
-        self._instr = (
-            instrumentation if instrumentation is not None else NULL_INSTRUMENTATION
-        )
-        self._c_hit = self._instr.counter("features.cache.hit")
-        self._c_miss = self._instr.counter("features.cache.miss")
-        self._c_evicted = self._instr.counter("features.cache.evicted")
 
     # -- URL features ------------------------------------------------------------
 
@@ -288,32 +261,14 @@ class FeatureExtractor:
         elif isinstance(page, Document):
             document, markup = page, page.to_html()
         elif isinstance(page, str):
-            # Parsing is deferred: a cache hit never needs the DOM.
-            document, markup = None, page
+            document, markup = parse_html(page), page
         else:
             raise FeatureError(
                 f"unsupported page type: {type(page).__name__}"
             )
-
-        key = snapshot_key(url, markup) if self.cache_size > 0 else None
-        if key is not None:
-            cached = self._cache.get(key)
-            if cached is not None:
-                self._cache.move_to_end(key)
-                self._c_hit.inc()
-                return cached
-            self._c_miss.inc()
-        if document is None:
-            document = parse_html(markup)
         values = self._url_features(url)
         values.update(self._html_features(url, document, markup))
-        features = PageFeatures(values=values)
-        if key is not None:
-            self._cache[key] = features
-            while len(self._cache) > self.cache_size:
-                self._cache.popitem(last=False)
-                self._c_evicted.inc()
-        return features
+        return PageFeatures(values=values)
 
     def extract_matrix(
         self,

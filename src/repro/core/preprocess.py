@@ -27,12 +27,14 @@ from ..simnet.browser import Browser, PageSnapshot
 from ..simnet.url import URL
 from ..simnet.web import Web
 from .features import (
-    DEFAULT_FEATURE_CACHE_SIZE,
     FWB_FEATURE_NAMES,
     FeatureExtractor,
     PageFeatures,
     snapshot_key,
 )
+
+#: Capacity of the snapshot-keyed page cache, in processed pages.
+PAGE_CACHE_SIZE = 2048
 
 
 @dataclass
@@ -91,22 +93,16 @@ class Preprocessor:
         browser: Optional[Browser] = None,
         extractor: Optional[FeatureExtractor] = None,
         instrumentation: Optional[Instrumentation] = None,
-        cache_size: int = DEFAULT_FEATURE_CACHE_SIZE,
     ) -> None:
         self.web = web
         self.browser = browser if browser is not None else Browser(web)
         self._instr = (
             instrumentation if instrumentation is not None else NULL_INSTRUMENTATION
         )
-        self.extractor = (
-            extractor
-            if extractor is not None
-            else FeatureExtractor(instrumentation=self._instr)
-        )
+        self.extractor = extractor if extractor is not None else FeatureExtractor()
         #: Snapshot archive, as the paper stores full website snapshots.
         #: Only populated by ``keep=True`` calls — never by the cache.
         self.archive: List[ProcessedPage] = []
-        self.cache_size = cache_size
         self._page_cache: "OrderedDict[str, ProcessedPage]" = OrderedDict()
         self._c_hit = self._instr.counter("preprocess.cache.hit")
         self._c_miss = self._instr.counter("preprocess.cache.miss")
@@ -129,22 +125,19 @@ class Preprocessor:
         twice.
         """
         try:
-            if self.cache_size > 0:
-                result = self.browser.fetch(url, now)
-                if not result.ok:
-                    # snapshot() raises SiteRemovedError for this status.
-                    return None
-                key = snapshot_key(url, result.markup)
-                cached = self._page_cache.get(key)
-                if cached is not None:
-                    self._page_cache.move_to_end(key)
-                    self._c_hit.inc()
-                    if keep:
-                        self.archive.append(cached)
-                    return cached
-                snapshot = self.browser.snapshot_from(result, now)
-            else:
-                snapshot = self.browser.snapshot(url, now)
+            result = self.browser.fetch(url, now)
+            if not result.ok:
+                # snapshot() raises SiteRemovedError for this status.
+                return None
+            key = snapshot_key(url, result.markup)
+            cached = self._page_cache.get(key)
+            if cached is not None:
+                self._page_cache.move_to_end(key)
+                self._c_hit.inc()
+                if keep:
+                    self.archive.append(cached)
+                return cached
+            snapshot = self.browser.snapshot_from(result, now)
         except FetchError:
             return None
         features = self.extractor.extract(url, snapshot)
@@ -155,12 +148,11 @@ class Preprocessor:
             features=features,
             fwb_name=service.name if service is not None else None,
         )
-        if self.cache_size > 0:
-            self._c_miss.inc()
-            self._page_cache[snapshot_key(url, snapshot.markup)] = page
-            while len(self._page_cache) > self.cache_size:
-                self._page_cache.popitem(last=False)
-                self._c_evicted.inc()
+        self._c_miss.inc()
+        self._page_cache[key] = page
+        while len(self._page_cache) > PAGE_CACHE_SIZE:
+            self._page_cache.popitem(last=False)
+            self._c_evicted.inc()
         if keep:
             self.archive.append(page)
         return page

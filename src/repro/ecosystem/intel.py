@@ -142,14 +142,12 @@ def gather_intel(web: Web, browser: Browser, url: URL, now: int) -> UrlIntel:
                     break
 
     title = document.title.lower()
-    host_and_path = (url.host + url.path).lower()
     # Crude but effective: a sign-in title naming an organization whose
     # name does not appear in the serving host.
     if ("sign in" in title or "login" in title) and title:
         head_token = title.split()[0].strip(".,-")
         if len(head_token) >= 4 and head_token not in url.registered_domain:
             intel.brand_title_mismatch = True
-    _ = host_and_path
     return intel
 
 

@@ -230,8 +230,6 @@ def run_serve_bench(
                 if preprocess_lookups
                 else 0.0
             ),
-            "extractor_hits": counters.get("features.cache.hit", 0),
-            "extractor_misses": counters.get("features.cache.miss", 0),
         },
         "speedup_vs_single_url": (
             served_rps / baseline_rps if baseline_rps > 0 else 0.0

@@ -202,12 +202,10 @@ class TieredVerdictCache:
         The next lookup misses and re-resolves through the feed.
         """
         key = cache_key(url)
-        stale = 0
-        if self.negative.evict(key) is not None:
-            stale += 1
-        evicted = self.exact.evict(key)
-        if evicted is NavigationVerdict.ALLOWED:
-            stale += 1
+        stale = 1 if self.negative.evict(key) is not None else 0
+        # ``store`` keeps ALLOWED in the negative tier only, so the exact
+        # tier can hold no stale allow; its blocked entry is dropped anyway.
+        self.exact.evict(key)
         self._c_stale_allow.inc(stale)
         self._c_invalidations.inc()
         return stale

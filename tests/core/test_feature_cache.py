@@ -3,8 +3,8 @@
 Covers the hot-path additions of the performance pass:
 
 * :func:`snapshot_key` — the sanctioned cache-key producer (RP304);
-* the :class:`FeatureExtractor` memo and the :class:`Preprocessor` page
-  cache (hit/miss/evicted counters, LRU bound, keep=False hygiene);
+* the :class:`Preprocessor` page cache, the only feature memo
+  (hit/miss/evicted counters, LRU bound and recency, keep=False hygiene);
 * :meth:`FreePhishClassifier.classify_pages` — one ``predict_proba`` per
   batch, bit-identical to the per-page path;
 * the lazily rendered :class:`PageSnapshot` visual signature.
@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.core import FreePhishClassifier, Preprocessor
+from repro.core import preprocess as preprocess_module
 from repro.core.features import (
     FeatureExtractor,
     snapshot_key,
@@ -47,55 +48,13 @@ class TestSnapshotKey:
         assert snapshot_key(str(URL_A), MARKUP) == snapshot_key(URL_A, MARKUP)
 
 
-class TestFeatureExtractorCache:
-    def _counters(self, instr):
-        counters = instr.metrics.snapshot()["counters"]
-        return (
-            counters.get("features.cache.hit", 0),
-            counters.get("features.cache.miss", 0),
-            counters.get("features.cache.evicted", 0),
-        )
-
-    def test_repeat_extraction_hits(self):
-        instr = Instrumentation()
-        extractor = FeatureExtractor(instrumentation=instr)
+class TestFeatureExtractor:
+    def test_repeat_extraction_recomputes_equal_features(self):
+        extractor = FeatureExtractor()
         first = extractor.extract(URL_A, MARKUP)
         second = extractor.extract(URL_A, MARKUP)
-        assert second is first
-        assert self._counters(instr) == (1, 1, 0)
-
-    def test_changed_markup_misses(self):
-        instr = Instrumentation()
-        extractor = FeatureExtractor(instrumentation=instr)
-        extractor.extract(URL_A, MARKUP)
-        extractor.extract(URL_A, MARKUP + "<p>changed</p>")
-        assert self._counters(instr) == (0, 2, 0)
-
-    def test_lru_bound_and_eviction_counter(self):
-        instr = Instrumentation()
-        extractor = FeatureExtractor(cache_size=2, instrumentation=instr)
-        for i in range(4):
-            extractor.extract(URL_A, MARKUP + "x" * i)
-        hits, misses, evicted = self._counters(instr)
-        assert (hits, misses, evicted) == (0, 4, 2)
-
-    def test_lru_recency_order(self):
-        extractor = FeatureExtractor(cache_size=2)
-        a = extractor.extract(URL_A, MARKUP + "a")
-        extractor.extract(URL_A, MARKUP + "b")
-        # Touch "a" so "b" is the eviction victim when "c" arrives.
-        assert extractor.extract(URL_A, MARKUP + "a") is a
-        extractor.extract(URL_A, MARKUP + "c")
-        assert extractor.extract(URL_A, MARKUP + "a") is a  # still cached
-
-    def test_zero_cache_size_disables(self):
-        instr = Instrumentation()
-        extractor = FeatureExtractor(cache_size=0, instrumentation=instr)
-        first = extractor.extract(URL_A, MARKUP)
-        second = extractor.extract(URL_A, MARKUP)
-        assert first is not second
+        assert second is not first
         assert np.array_equal(first.fwb_vector, second.fwb_vector)
-        assert self._counters(instr) == (0, 0, 0)
 
 
 @pytest.fixture()
@@ -137,28 +96,32 @@ class TestPreprocessorCache:
         page = pre.process(live_urls[0], now=30, keep=True)
         assert pre.archive == [page]
 
-    def test_cache_bound_and_evictions(self, web, live_urls):
+    def test_cache_bound_and_evictions(self, web, live_urls, monkeypatch):
+        monkeypatch.setattr(preprocess_module, "PAGE_CACHE_SIZE", 2)
         instr = Instrumentation()
-        pre = Preprocessor(web, instrumentation=instr, cache_size=2)
+        pre = Preprocessor(web, instrumentation=instr)
         for url in live_urls[:3]:
             pre.process(url, now=0, keep=False)
         assert pre.cache_len == 2
         assert self._counters(instr) == (0, 3, 1)
+
+    def test_lru_recency_order(self, web, live_urls, monkeypatch):
+        monkeypatch.setattr(preprocess_module, "PAGE_CACHE_SIZE", 2)
+        pre = Preprocessor(web)
+        url_a, url_b, url_c = live_urls[:3]
+        a = pre.process(url_a, now=0, keep=False)
+        b = pre.process(url_b, now=0, keep=False)
+        # Touch A so B is the eviction victim when C arrives.
+        assert pre.process(url_a, now=0, keep=False) is a
+        pre.process(url_c, now=0, keep=False)
+        assert pre.process(url_a, now=0, keep=False) is a  # still cached
+        assert pre.process(url_b, now=0, keep=False) is not b  # evicted
 
     def test_unreachable_returns_none_without_caching(self, web):
         instr = Instrumentation()
         pre = Preprocessor(web, instrumentation=instr)
         ghost = parse_url("https://ghost.weebly.com/")
         assert pre.process(ghost, now=0, keep=False) is None
-        assert pre.cache_len == 0
-        assert self._counters(instr) == (0, 0, 0)
-
-    def test_zero_cache_size_disables(self, web, live_urls):
-        instr = Instrumentation()
-        pre = Preprocessor(web, instrumentation=instr, cache_size=0)
-        first = pre.process(live_urls[0], now=0, keep=False)
-        second = pre.process(live_urls[0], now=30, keep=False)
-        assert first is not second
         assert pre.cache_len == 0
         assert self._counters(instr) == (0, 0, 0)
 
