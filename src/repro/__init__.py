@@ -19,7 +19,6 @@ Quick start::
 """
 
 from .config import (
-    RngFactory,
     SeedBank,
     SimulationConfig,
     minutes_to_hhmm,
@@ -48,7 +47,6 @@ from .simnet.web import Web
 __version__ = "1.0.0"
 
 __all__ = [
-    "RngFactory",
     "SeedBank",
     "SimulationConfig",
     "minutes_to_hhmm",

@@ -21,7 +21,7 @@ tables.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional
 
 import numpy as np
@@ -93,11 +93,6 @@ class SeedBank:
         return _stable_hash(f"{self.seed}:{name}") % (2 ** 31)
 
 
-#: Backwards-compatible alias: the class was named RngFactory before the
-#: named-integer-seed API landed.
-RngFactory = SeedBank
-
-
 def minutes_to_hhmm(minutes: float) -> str:
     """Render a duration in minutes as the paper's ``hh:mm`` table format.
 
@@ -139,7 +134,6 @@ class SimulationConfig:
     stream_interval_minutes: int = STREAM_INTERVAL_MINUTES
     monitor_window_minutes: int = MONITOR_WINDOW_MINUTES
     takedown_window_minutes: int = TAKEDOWN_WINDOW_MINUTES
-    extra: Dict[str, object] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.duration_days <= 0:
@@ -158,9 +152,6 @@ class SimulationConfig:
     def seed_bank(self) -> SeedBank:
         return SeedBank(self.seed)
 
-    #: Backwards-compatible alias for :meth:`seed_bank`.
-    rng_factory = seed_bank
-
     def scaled(self, fraction: float, seed: Optional[int] = None) -> "SimulationConfig":
         """Return a copy with the workload scaled by ``fraction``.
 
@@ -178,5 +169,4 @@ class SimulationConfig:
             stream_interval_minutes=self.stream_interval_minutes,
             monitor_window_minutes=self.monitor_window_minutes,
             takedown_window_minutes=self.takedown_window_minutes,
-            extra=dict(self.extra),
         )

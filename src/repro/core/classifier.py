@@ -107,9 +107,6 @@ class FreePhishClassifier:
             for probability in probabilities
         ]
 
-    def is_phishing(self, page: ProcessedPage) -> bool:
-        return self.classify_page(page).label == 1
-
     # -- evaluation --------------------------------------------------------------
 
     def evaluate(self, X: np.ndarray, y: np.ndarray) -> ClassificationSummary:

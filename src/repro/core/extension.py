@@ -84,7 +84,8 @@ class FreePhishExtension:
         self.service = service
         if feed:
             self.service.update_feed(feed)
-        #: URLs the user explicitly chose to proceed to ("Continue anyway").
+        #: Normalized URL keys (``cache_key``) the user explicitly chose to
+        #: proceed to ("Continue anyway").
         self.allowlist: Set[str] = set()
         self.stats = {"checked": 0, "blocked": 0, "overridden": 0}
 
@@ -105,9 +106,12 @@ class FreePhishExtension:
         """Record a user override: future checks let this URL through.
 
         Mirrors the "proceed anyway" escape hatch of real warning pages
-        (Figure 10); overrides are counted in ``stats``.
+        (Figure 10); overrides are counted in ``stats``. Keyed like the
+        feed, so every spelling of the page is let through.
         """
-        self.allowlist.add(str(url))
+        from ..serve.cache import cache_key
+
+        self.allowlist.add(cache_key(url))
         self.stats["overridden"] += 1
 
     def check(self, url: URL, now: int) -> NavigationVerdict:
@@ -118,10 +122,11 @@ class FreePhishExtension:
         """Like :meth:`check`, but returning the full
         :class:`~repro.serve.service.ServedVerdict` — verdict plus the
         serving tier that produced it (``served_from``)."""
+        from ..serve.cache import cache_key
         from ..serve.service import ServedFrom, ServedVerdict
 
         self.stats["checked"] += 1
-        if str(url) in self.allowlist:
+        if cache_key(url) in self.allowlist:
             return ServedVerdict(
                 url=url,
                 verdict=NavigationVerdict.ALLOWED,

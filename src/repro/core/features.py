@@ -269,11 +269,3 @@ class FeatureExtractor:
         values = self._url_features(url)
         values.update(self._html_features(url, document, markup))
         return PageFeatures(values=values)
-
-    def extract_matrix(
-        self,
-        pairs: Sequence[Tuple[URL, Union[PageSnapshot, Document, str]]],
-        names: Sequence[str] = FWB_FEATURE_NAMES,
-    ) -> np.ndarray:
-        """Feature matrix for a batch of (url, page) pairs."""
-        return np.vstack([self.extract(url, page).vector(names) for url, page in pairs])

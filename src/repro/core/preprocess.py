@@ -26,12 +26,7 @@ from ..obs.instrument import NULL_INSTRUMENTATION, Instrumentation
 from ..simnet.browser import Browser, PageSnapshot
 from ..simnet.url import URL
 from ..simnet.web import Web
-from .features import (
-    FWB_FEATURE_NAMES,
-    FeatureExtractor,
-    PageFeatures,
-    snapshot_key,
-)
+from .features import FeatureExtractor, PageFeatures, snapshot_key
 
 #: Capacity of the snapshot-keyed page cache, in processed pages.
 PAGE_CACHE_SIZE = 2048
@@ -91,7 +86,6 @@ class Preprocessor:
         self,
         web: Web,
         browser: Optional[Browser] = None,
-        extractor: Optional[FeatureExtractor] = None,
         instrumentation: Optional[Instrumentation] = None,
     ) -> None:
         self.web = web
@@ -99,7 +93,7 @@ class Preprocessor:
         self._instr = (
             instrumentation if instrumentation is not None else NULL_INSTRUMENTATION
         )
-        self.extractor = extractor if extractor is not None else FeatureExtractor()
+        self.extractor = FeatureExtractor()
         #: Snapshot archive, as the paper stores full website snapshots.
         #: Only populated by ``keep=True`` calls — never by the cache.
         self.archive: List[ProcessedPage] = []
@@ -157,13 +151,6 @@ class Preprocessor:
             self.archive.append(page)
         return page
 
-    def process_batch(
-        self, urls: List[URL], now: int, keep: bool = False
-    ) -> List[ProcessedPage]:
-        """Reachable pages only; see :meth:`process_batch_report` for the
-        skip-and-report variant the serving layer uses."""
-        return self.process_batch_report(urls, now, keep=keep).pages
-
     def process_batch_report(
         self, urls: List[URL], now: int, keep: bool = False
     ) -> PreprocessBatch:
@@ -189,14 +176,3 @@ class Preprocessor:
                 continue
             pages.append(page)
         return PreprocessBatch(pages=pages, skipped=skipped)
-
-    def feature_matrix(self, pages: List[ProcessedPage]) -> np.ndarray:
-        """One ``(n, d)`` float64 matrix of FWB-augmented feature vectors.
-
-        This is the batch hand-off to the classifier: both the framework's
-        per-tick batch and the serving MicroBatcher score exactly one such
-        matrix per flush.
-        """
-        if not pages:
-            return np.empty((0, len(FWB_FEATURE_NAMES)), dtype=np.float64)
-        return np.vstack([page.fwb_vector for page in pages])

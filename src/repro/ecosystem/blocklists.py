@@ -172,18 +172,14 @@ BLOCKLIST_NAMES = ("gsb", "phishtank", "openphish", "ecrimex")
 def default_blocklists(
     intel_service: IntelService,
     seed: int = 0,
-    behaviors: Optional[Dict[str, BlocklistBehavior]] = None,
     instrumentation: Optional[Instrumentation] = None,
 ) -> Dict[str, Blocklist]:
     """Build the four blocklists with Table-3-calibrated behaviour."""
-    table = dict(DEFAULT_BEHAVIORS)
-    if behaviors:
-        table.update(behaviors)
     bank = SeedBank(seed)
     return {
         name: Blocklist(
             name=name,
-            behavior=table[name],
+            behavior=DEFAULT_BEHAVIORS[name],
             intel_service=intel_service,
             seed=bank.child_seed(f"blocklist.{name}"),
             instrumentation=instrumentation,

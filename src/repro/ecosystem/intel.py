@@ -276,18 +276,20 @@ def signal_vector(intel: UrlIntel) -> Optional[List[float]]:
     return vector
 
 
+#: Width of the time bucket intel is cached for: one simulated day.
+INTEL_BUCKET_MINUTES = 24 * 60
+
+
 class IntelService:
     """Caches intel per (url, coarse time bucket) for the ecosystem."""
 
-    def __init__(self, web: Web, browser: Optional[Browser] = None,
-                 cache_bucket_minutes: int = 24 * 60) -> None:
+    def __init__(self, web: Web, browser: Optional[Browser] = None) -> None:
         self.web = web
         self.browser = browser if browser is not None else Browser(web)
-        self.cache_bucket_minutes = cache_bucket_minutes
         self._cache: Dict[tuple, UrlIntel] = {}
 
     def intel_for(self, url: URL, now: int) -> UrlIntel:
-        key = (str(url), now // self.cache_bucket_minutes)
+        key = (str(url), now // INTEL_BUCKET_MINUTES)
         cached = self._cache.get(key)
         if cached is None:
             cached = gather_intel(self.web, self.browser, url, now)

@@ -132,6 +132,17 @@ class AbuseDesk:
         return fired
 
 
+#: Registrar behaviour calibrated to Table 3's self-hosted "Hosting domain"
+#: row: share of domains acted on (scaled by suspicion ** gamma), the
+#: removal-delay median at full suspicion, how it stretches as suspicion
+#: falls, and the lognormal spread of the delay.
+REGISTRAR_REACH = 0.93
+REGISTRAR_GAMMA = 1.0
+REGISTRAR_BASE_MEDIAN_MINUTES = 160.0
+REGISTRAR_STRETCH = 1.0
+REGISTRAR_SIGMA = 1.1
+
+
 class RegistrarDesk:
     """Registrar/host takedowns of self-hosted phishing domains.
 
@@ -147,22 +158,12 @@ class RegistrarDesk:
         web: Web,
         intel_service: IntelService,
         seed: int,
-        reach: float = 0.93,
-        gamma: float = 1.0,
-        base_median_minutes: float = 160.0,
-        stretch: float = 1.0,
-        sigma: float = 1.1,
         instrumentation: Optional[Instrumentation] = None,
     ) -> None:
         self.provider = provider
         self.web = web
         self.intel_service = intel_service
         self._seed = seed
-        self.reach = reach
-        self.gamma = gamma
-        self.base_median_minutes = base_median_minutes
-        self.stretch = stretch
-        self.sigma = sigma
         self._decisions: Dict[str, Optional[int]] = {}
         self._pending: List[tuple] = []
         instr = (
@@ -181,12 +182,15 @@ class RegistrarDesk:
         rng = np.random.default_rng(
             np.random.SeedSequence([self._seed, _stable_hash(key)])
         )
-        probability = self.reach * max(score, 0.0) ** self.gamma
+        probability = REGISTRAR_REACH * max(score, 0.0) ** REGISTRAR_GAMMA
         if rng.random() >= probability:
             self._decisions[key] = None
             return
-        median = self.base_median_minutes * (1.0 / max(score, 0.05)) ** self.stretch
-        delay = rng.lognormal(np.log(median), self.sigma)
+        median = (
+            REGISTRAR_BASE_MEDIAN_MINUTES
+            * (1.0 / max(score, 0.05)) ** REGISTRAR_STRETCH
+        )
+        delay = rng.lognormal(np.log(median), REGISTRAR_SIGMA)
         removal_at = now + max(5, int(round(delay)))
         self._decisions[key] = removal_at
         self._pending.append((url, removal_at))

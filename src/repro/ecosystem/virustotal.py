@@ -115,14 +115,3 @@ class VirusTotal:
             total_engines=self.n_engines,
             engines=positives,
         )
-
-    def detections_at(self, url: URL, now: int) -> int:
-        return self.scan(url, now).positives
-
-    def final_detections(self, url: URL, horizon: int) -> int:
-        """Detections the URL will have accumulated by ``horizon``."""
-        return self.scan(url, horizon).positives
-
-    def scan_file_detections(self, vt_detections: int) -> int:
-        """File scans report the payload's precomputed engine count."""
-        return int(vt_detections)

@@ -16,13 +16,15 @@ import sys
 from collections import deque
 from typing import Callable, Deque, Dict, List, Optional, TextIO, Tuple
 
-from ..errors import ObservabilityError
-
 #: Field values are restricted to JSON-scalar types so every event is
 #: exportable verbatim.
 FieldValue = object
 
 Sink = Callable[["Event"], None]
+
+#: Events an :class:`EventLog` retains (ring buffer); ``n_emitted`` keeps
+#: counting past it.
+MAX_EVENTS = 50_000
 
 
 class Event:
@@ -68,12 +70,9 @@ class ConsoleSink:
 class EventLog:
     """Bounded buffer of events plus a fan-out to subscribed sinks."""
 
-    def __init__(self, max_events: int = 50_000) -> None:
-        if max_events <= 0:
-            raise ObservabilityError("max_events must be positive")
-        self.max_events = max_events
+    def __init__(self) -> None:
         self.n_emitted = 0
-        self._events: Deque[Event] = deque(maxlen=max_events)
+        self._events: Deque[Event] = deque(maxlen=MAX_EVENTS)
         self._sinks: List[Sink] = []
 
     def subscribe(self, sink: Sink) -> Sink:

@@ -38,8 +38,7 @@ class Instrumentation:
 
     enabled = True
 
-    def __init__(self, mode: str = "sim", max_spans: int = 10_000,
-                 max_events: int = 50_000) -> None:
+    def __init__(self, mode: str = "sim") -> None:
         if mode not in _MODES:
             raise ObservabilityError(
                 f"unknown instrumentation mode {mode!r}; expected one of {_MODES}"
@@ -48,15 +47,13 @@ class Instrumentation:
         self.metrics = MetricsRegistry()
         self._sim_clock = SimClock()
         clock = self._sim_clock if mode == "sim" else wall_clock()  # reprolint: disable=RP105 — wall mode is an explicit profiling opt-in; sim mode never reads the clock
-        self.tracer = Tracer(clock=clock, registry=self.metrics,
-                             max_spans=max_spans)
-        self.events = EventLog(max_events=max_events)
+        self.tracer = Tracer(clock=clock, registry=self.metrics)
+        self.events = EventLog()
 
     @classmethod
-    def profiling(cls, max_spans: int = 10_000,
-                  max_events: int = 50_000) -> "Instrumentation":
+    def profiling(cls) -> "Instrumentation":
         """Wall-clock mode: span durations are real seconds (benchmarks)."""
-        return cls(mode="wall", max_spans=max_spans, max_events=max_events)
+        return cls(mode="wall")
 
     # -- simulation time ------------------------------------------------------
 

@@ -24,6 +24,9 @@ from typing import Callable, Deque, List, Optional
 from ..errors import ObservabilityError
 from .metrics import MetricsRegistry
 
+#: Finished span records a :class:`Tracer` retains (ring buffer).
+MAX_SPANS = 10_000
+
 
 class SimClock:
     """Mutable holder for the current simulation time (minutes)."""
@@ -92,26 +95,23 @@ class Tracer:
     registry:
         Optional metrics registry; when given, every finished span
         observes its duration into the ``span.<name>`` histogram.
-    max_spans:
-        Ring-buffer bound on retained :class:`SpanRecord` objects. The
-        aggregate histograms are unaffected by rotation.
+
+    At most :data:`MAX_SPANS` finished :class:`SpanRecord` objects are
+    retained (a ring buffer); the aggregate histograms are unaffected by
+    rotation.
     """
 
     def __init__(
         self,
         clock: Optional[Callable[[], float]] = None,
         registry: Optional[MetricsRegistry] = None,
-        max_spans: int = 10_000,
     ) -> None:
-        if max_spans <= 0:
-            raise ObservabilityError("max_spans must be positive")
         self.clock: Callable[[], float] = clock if clock is not None else SimClock()
         self.registry = registry
-        self.max_spans = max_spans
         self.n_started = 0
         self.n_finished = 0
         self._stack: List[_ActiveSpan] = []
-        self._finished: Deque[SpanRecord] = deque(maxlen=max_spans)
+        self._finished: Deque[SpanRecord] = deque(maxlen=MAX_SPANS)
 
     def span(self, name: str) -> _ActiveSpan:
         """Create a span handle; the span starts on ``__enter__``."""

@@ -62,6 +62,13 @@ class AdmissionController:
         return AdmissionDecision.ADMIT
 
 
+#: The fast path's fixed random forest and its blocking threshold.
+FAST_PATH_N_ESTIMATORS = 20
+FAST_PATH_MAX_DEPTH = 8
+FAST_PATH_RANDOM_STATE = 13
+FAST_PATH_THRESHOLD = 0.5
+
+
 class FastPathModel:
     """URL-features-only classifier for degraded-mode verdicts.
 
@@ -75,22 +82,13 @@ class FastPathModel:
 
     feature_names = URL_FEATURE_NAMES
 
-    def __init__(
-        self,
-        extractor: Optional[FeatureExtractor] = None,
-        n_estimators: int = 20,
-        max_depth: int = 8,
-        random_state: int = 13,
-        threshold: float = 0.5,
-        model=None,
-    ) -> None:
-        self.extractor = extractor if extractor is not None else FeatureExtractor()
-        self.model = model if model is not None else RandomForestClassifier(
-            n_estimators=n_estimators,
-            max_depth=max_depth,
-            random_state=random_state,
+    def __init__(self) -> None:
+        self.extractor = FeatureExtractor()
+        self.model = RandomForestClassifier(
+            n_estimators=FAST_PATH_N_ESTIMATORS,
+            max_depth=FAST_PATH_MAX_DEPTH,
+            random_state=FAST_PATH_RANDOM_STATE,
         )
-        self.threshold = threshold
         self._fitted = False
 
     @property
@@ -120,7 +118,7 @@ class FastPathModel:
         probabilities = self.model.predict_proba(self._matrix(urls))[:, 1]
         return [
             NavigationVerdict.BLOCKED_CLASSIFIER
-            if probability >= self.threshold
+            if probability >= FAST_PATH_THRESHOLD
             else NavigationVerdict.ALLOWED
             for probability in probabilities
         ]

@@ -9,10 +9,11 @@ simulated tick and flushes when either trigger fires:
   time (the latency deadline).
 
 A flush runs the whole batch through
-:meth:`~repro.core.preprocess.Preprocessor.process_batch_report`, stacks
-one :meth:`~repro.core.preprocess.Preprocessor.feature_matrix`, and makes a
-**single** ``predict_proba`` call — duplicate URLs in a batch are scored
-once and fanned back out to every waiting request.
+:meth:`~repro.core.preprocess.Preprocessor.process_batch_report` and
+scores the reachable pages with **one**
+:meth:`~repro.core.classifier.FreePhishClassifier.classify_pages` call —
+duplicate URLs in a batch are scored once and fanned back out to every
+waiting request.
 
 Determinism: flush order is a pure function of arrival order and batch
 configuration. The batcher never reads the wall clock for control flow
@@ -181,7 +182,7 @@ class MicroBatcher:
     def _score_unique(
         self, unique: Dict[str, URL], now: int
     ) -> Dict[str, "tuple[NavigationVerdict, Optional[float]]"]:
-        """One snapshot pass + one ``predict_proba`` call for the batch."""
+        """One snapshot pass + one ``classify_pages`` call for the batch."""
         keys = list(unique.keys())
         report = self.preprocessor.process_batch_report(
             [unique[key] for key in keys], now, keep=False
@@ -190,14 +191,13 @@ class MicroBatcher:
             cache_key(skip.url): (NavigationVerdict.UNREACHABLE, None)
             for skip in report.skipped
         }
-        if report.pages:
-            matrix = self.preprocessor.feature_matrix(report.pages)
-            probabilities = self.classifier.predict_proba(matrix)[:, 1]
-            for page, probability in zip(report.pages, probabilities):
-                verdict = (
-                    NavigationVerdict.BLOCKED_CLASSIFIER
-                    if probability >= self.classifier.threshold
-                    else NavigationVerdict.ALLOWED
-                )
-                outcomes[cache_key(page.url)] = (verdict, float(probability))
+        for page, prediction in zip(
+            report.pages, self.classifier.classify_pages(report.pages)
+        ):
+            verdict = (
+                NavigationVerdict.BLOCKED_CLASSIFIER
+                if prediction.label == 1
+                else NavigationVerdict.ALLOWED
+            )
+            outcomes[cache_key(page.url)] = (verdict, prediction.probability)
         return outcomes

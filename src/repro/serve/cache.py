@@ -38,7 +38,6 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Set, Tuple, Union
 
 from ..core.extension import NavigationVerdict
-from ..errors import ConfigError
 from ..obs.instrument import NULL_INSTRUMENTATION, Instrumentation
 from ..simnet.url import URL, parse_url
 
@@ -46,6 +45,14 @@ from ..simnet.url import URL, parse_url
 TIER_EXACT = "exact"
 TIER_DOMAIN = "domain"
 TIER_NEGATIVE = "negative"
+
+#: Per-tier bounds: entries kept (LRU beyond) and minutes an entry lives.
+EXACT_CAPACITY = 50_000
+EXACT_TTL_MINUTES = 24 * 60
+DOMAIN_CAPACITY = 20_000
+DOMAIN_TTL_MINUTES = 7 * 24 * 60
+NEGATIVE_CAPACITY = 100_000
+NEGATIVE_TTL_MINUTES = 6 * 60
 
 _BLOCKED = (NavigationVerdict.BLOCKED_FEED, NavigationVerdict.BLOCKED_CLASSIFIER)
 
@@ -82,10 +89,6 @@ class _LruTtlTier:
     """One cache tier: ordered dict with LRU eviction and per-entry TTL."""
 
     def __init__(self, name: str, capacity: int, ttl_minutes: int) -> None:
-        if capacity <= 0:
-            raise ConfigError(f"tier {name!r} capacity must be positive")
-        if ttl_minutes <= 0:
-            raise ConfigError(f"tier {name!r} ttl_minutes must be positive")
         self.name = name
         self.capacity = capacity
         self.ttl_minutes = ttl_minutes
@@ -127,21 +130,12 @@ class _LruTtlTier:
 class TieredVerdictCache:
     """Exact + domain + negative verdict tiers with event-driven invalidation."""
 
-    def __init__(
-        self,
-        exact_capacity: int = 50_000,
-        exact_ttl_minutes: int = 24 * 60,
-        domain_capacity: int = 20_000,
-        domain_ttl_minutes: int = 7 * 24 * 60,
-        negative_capacity: int = 100_000,
-        negative_ttl_minutes: int = 6 * 60,
-        instrumentation: Optional[Instrumentation] = None,
-    ) -> None:
+    def __init__(self, instrumentation: Optional[Instrumentation] = None) -> None:
         instr = instrumentation if instrumentation is not None else NULL_INSTRUMENTATION
-        self.exact = _LruTtlTier(TIER_EXACT, exact_capacity, exact_ttl_minutes)
-        self.domain = _LruTtlTier(TIER_DOMAIN, domain_capacity, domain_ttl_minutes)
+        self.exact = _LruTtlTier(TIER_EXACT, EXACT_CAPACITY, EXACT_TTL_MINUTES)
+        self.domain = _LruTtlTier(TIER_DOMAIN, DOMAIN_CAPACITY, DOMAIN_TTL_MINUTES)
         self.negative = _LruTtlTier(
-            TIER_NEGATIVE, negative_capacity, negative_ttl_minutes
+            TIER_NEGATIVE, NEGATIVE_CAPACITY, NEGATIVE_TTL_MINUTES
         )
         #: host → exact/negative keys stored for it (invalidation index).
         self._host_keys: Dict[str, Set[str]] = {}

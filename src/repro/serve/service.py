@@ -101,7 +101,6 @@ class VerdictService:
         classifier: FreePhishClassifier,
         browser: Optional[Browser] = None,
         feed: Optional[Iterable] = None,
-        cache: Optional[TieredVerdictCache] = None,
         fast_path: Optional[FastPathModel] = None,
         max_batch_size: int = 32,
         max_wait_minutes: int = 2,
@@ -117,9 +116,7 @@ class VerdictService:
         )
         self._instr = instr
         self.preprocessor = Preprocessor(web, self.browser, instrumentation=instr)
-        self.cache = cache if cache is not None else TieredVerdictCache(
-            instrumentation=instr
-        )
+        self.cache = TieredVerdictCache(instrumentation=instr)
         self.batcher = MicroBatcher(
             self.preprocessor,
             classifier,

@@ -71,7 +71,6 @@ class CampaignWorld:
         self,
         config: Optional[SimulationConfig] = None,
         train_samples_per_class: int = 250,
-        use_light_classifier: bool = True,
         instrumentation: Optional[Instrumentation] = None,
     ) -> None:
         self.config = config if config is not None else SimulationConfig()
@@ -132,14 +131,11 @@ class CampaignWorld:
         self.preprocessor = Preprocessor(
             self.web, self.browser, instrumentation=self.instr
         )
-        classifier_model = (
-            RandomForestClassifier(
+        self.classifier = FreePhishClassifier(
+            model=RandomForestClassifier(
                 n_estimators=40, max_depth=10, random_state=self.config.seed
             )
-            if use_light_classifier
-            else None
         )
-        self.classifier = FreePhishClassifier(model=classifier_model)
         self.streaming = StreamingModule(
             self.web,
             TwitterAPI(self.twitter),

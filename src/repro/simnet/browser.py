@@ -106,9 +106,6 @@ class Browser:
         return FetchResult(url=url, status=200, markup=markup,
                            certificate=certificate)
 
-    def is_reachable(self, url: URL, now: int) -> bool:
-        return self.fetch(url, now).ok
-
     # -- snapshotting -------------------------------------------------------------
 
     def snapshot(self, url: URL, now: int) -> PageSnapshot:

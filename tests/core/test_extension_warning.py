@@ -65,3 +65,10 @@ class TestUserOverride:
             pytest.skip("need two detections")
         ext.allow_anyway(fwb_urls[0])
         assert ext.check(fwb_urls[1], now=10 ** 7).name.startswith("BLOCKED")
+
+    def test_override_matches_every_spelling_of_the_url(self, extension):
+        _world, ext = extension
+        ext.update_feed(["https://Scam.Weebly.com"])
+        ext.allow_anyway("https://Scam.Weebly.com")
+        verdict = ext.check(parse_url("https://scam.weebly.com/"), 0)
+        assert verdict is NavigationVerdict.ALLOWED

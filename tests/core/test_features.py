@@ -1,6 +1,5 @@
 """Feature extraction (§4.2): the 20-feature vectors."""
 
-import numpy as np
 import pytest
 
 from repro.core.features import (
@@ -108,11 +107,3 @@ class TestExtraction:
     def test_unsupported_page_type(self, extractor):
         with pytest.raises(FeatureError):
             extractor.extract(parse_url("https://x.weebly.com/"), 12345)
-
-    def test_extract_matrix(self, extractor):
-        url = parse_url("https://x.weebly.com/")
-        matrix = extractor.extract_matrix(
-            [(url, PHISH_MARKUP), (url, BENIGN_MARKUP)]
-        )
-        assert matrix.shape == (2, 20)
-        assert not np.array_equal(matrix[0], matrix[1])

@@ -42,10 +42,9 @@ class TestPreprocessor:
             benign_generator.create_fwb_site(web.fwb_providers["wix"], 0, rng).root_url
             for _ in range(3)
         ]
-        pages = pre.process_batch(urls, now=5)
+        pages = pre.process_batch_report(urls, now=5).pages
         assert len(pages) == 3
-        assert pre.feature_matrix(pages).shape == (3, 20)
-        assert pre.feature_matrix([]).shape == (0, 20)
+        assert np.vstack([page.fwb_vector for page in pages]).shape == (3, 20)
 
     def test_batch_skips_and_reports_unreachable(self, web, benign_generator,
                                                  rng):
@@ -62,8 +61,6 @@ class TestPreprocessor:
         assert report.n_skipped == 1
         assert str(report.skipped[0].url) == str(ghost)
         assert report.skipped[0].reason == "unreachable"
-        # The pages-only convenience wrapper stays consistent.
-        assert len(pre.process_batch([live[0], ghost, live[1]], now=5)) == 2
 
     def test_batch_reports_mid_batch_takedown(self, web, phishing_generator,
                                               rng):

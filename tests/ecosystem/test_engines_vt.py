@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.config import RngFactory
+from repro.config import SeedBank
 from repro.ecosystem import IntelService, VirusTotal, default_engine_fleet
 from repro.ecosystem.intel import UrlIntel
 from repro.simnet import Browser, Web
@@ -12,7 +12,7 @@ from repro.simnet.url import parse_url
 
 @pytest.fixture(scope="module")
 def fleet():
-    return default_engine_fleet(RngFactory(5))
+    return default_engine_fleet(SeedBank(5))
 
 
 def _intel(url_text: str, **overrides) -> UrlIntel:
@@ -62,8 +62,8 @@ class TestEngines:
                 assert when > 1000
 
     def test_reproducible_across_fleets(self):
-        a = default_engine_fleet(RngFactory(5))
-        b = default_engine_fleet(RngFactory(5))
+        a = default_engine_fleet(SeedBank(5))
+        b = default_engine_fleet(SeedBank(5))
         intel = _intel("https://stable.xyz/", **HOT)
         assert [e.evaluate(intel, 0) for e in a] == [e.evaluate(intel, 0) for e in b]
 
@@ -119,7 +119,3 @@ class TestVirusTotal:
             fwb_counts.append(vt.scan(fwb_site.root_url, week).positives)
             self_counts.append(vt.scan(self_site.root_url, week).positives)
         assert np.median(self_counts) >= np.median(fwb_counts) + 3
-
-    def test_file_scan_passthrough(self, vt_world):
-        _web, vt = vt_world
-        assert vt.scan_file_detections(9) == 9

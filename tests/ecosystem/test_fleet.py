@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.config import RngFactory, _stable_hash
+from repro.config import SeedBank, _stable_hash
 from repro.core.monitor import VT_SAMPLE_OFFSETS
 from repro.ecosystem import IntelService, VirusTotal, default_engine_fleet
 from repro.ecosystem.fleet import MIN_DETECTION_LATENCY, EngineFleet
@@ -65,7 +65,7 @@ def _make_intel(i, reachable, age, cert, flags, words):
 
 @pytest.fixture(scope="module")
 def fleet():
-    return default_engine_fleet(RngFactory(5))
+    return default_engine_fleet(SeedBank(5))
 
 
 @pytest.fixture(scope="module")
@@ -111,12 +111,12 @@ class TestEngineFleet:
     @given(_intel, st.integers(0, 10 ** 6))
     def test_verdicts_equal_evaluate(self, compiled, intel, first_seen):
         # evaluate caches per URL, so each example needs a fresh fleet.
-        engines = default_engine_fleet(RngFactory(5))
+        engines = default_engine_fleet(SeedBank(5))
         assert _verdicts(compiled, intel, first_seen) == _reference(engines, intel, first_seen)
 
     def test_small_engine_seeds_give_mixed_entropy_lengths(self):
         """Seeds below 2**32 (and 0) make one-word seed entropy in some lanes."""
-        engines = default_engine_fleet(RngFactory(8))
+        engines = default_engine_fleet(SeedBank(8))
         for engine, seed in zip(engines[::10], [0, 1, 12345, 2 ** 32 - 1, 2 ** 32, 77, 9, 3]):
             engine._seed = seed
         compiled = EngineFleet(engines)
@@ -167,7 +167,7 @@ class TestCampaignEquivalence:
         vt = world.virustotal
         # A second fleet with the same seeds keeps the world's engines' own
         # verdict caches out of the comparison.
-        engines = default_engine_fleet(RngFactory(world.config.seed))
+        engines = default_engine_fleet(SeedBank(world.config.seed))
         tracked = world.analysis._tracked
         assert tracked
         samples = {timeline.url: timeline.vt_samples for timeline in result.timelines}

@@ -1,9 +1,12 @@
 """Admission policy and the URL-only degraded fast path."""
 
+import numpy as np
 import pytest
 
 from repro.core.extension import NavigationVerdict
+from repro.core.features import URL_FEATURE_NAMES, FeatureExtractor
 from repro.errors import ConfigError
+from repro.ml import RandomForestClassifier
 from repro.obs.instrument import Instrumentation
 from repro.serve.admission import (
     AdmissionController,
@@ -62,3 +65,22 @@ class TestFastPathModel:
 
     def test_empty_batch(self):
         assert FastPathModel().verdicts([]) == []
+
+    def test_fixed_model_matches_explicit_forest(self, ground_truth):
+        # serve_cold's degraded verdicts depend on these exact settings.
+        urls = [page.url for page in ground_truth.pages]
+        model = FastPathModel().fit_urls(urls, ground_truth.labels)
+        extractor = FeatureExtractor()
+        matrix = np.vstack([
+            extractor.extract_url_only(url).vector(URL_FEATURE_NAMES)
+            for url in urls
+        ])
+        reference = RandomForestClassifier(
+            n_estimators=20, max_depth=8, random_state=13
+        ).fit(matrix, np.asarray(ground_truth.labels))
+        expected = [
+            NavigationVerdict.BLOCKED_CLASSIFIER if probability >= 0.5
+            else NavigationVerdict.ALLOWED
+            for probability in reference.predict_proba(matrix)[:, 1]
+        ]
+        assert model.verdicts(urls) == expected

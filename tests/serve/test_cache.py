@@ -1,11 +1,10 @@
 """Tiered verdict cache: keys, tiers, TTL/LRU, event-driven invalidation."""
 
-import pytest
-
 from repro.core.extension import NavigationVerdict
-from repro.errors import ConfigError
 from repro.obs.instrument import Instrumentation
+from repro.serve import cache as cache_module
 from repro.serve.cache import (
+    NEGATIVE_TTL_MINUTES,
     TIER_DOMAIN,
     TIER_EXACT,
     TIER_NEGATIVE,
@@ -64,25 +63,20 @@ class TestTiers:
         assert cache.lookup(url, now=0) is None
 
     def test_ttl_expires_entries(self):
-        cache = TieredVerdictCache(negative_ttl_minutes=10)
+        cache = TieredVerdictCache()
         url = parse_url("https://shop.wixsite.com/")
         cache.store(url, NavigationVerdict.ALLOWED, now=0)
-        assert cache.lookup(url, now=9) is not None
-        assert cache.lookup(url, now=10) is None
+        assert cache.lookup(url, now=NEGATIVE_TTL_MINUTES - 1) is not None
+        assert cache.lookup(url, now=NEGATIVE_TTL_MINUTES) is None
 
-    def test_lru_evicts_oldest(self):
-        cache = TieredVerdictCache(negative_capacity=2)
+    def test_lru_evicts_oldest(self, monkeypatch):
+        monkeypatch.setattr(cache_module, "NEGATIVE_CAPACITY", 2)
+        cache = TieredVerdictCache()
         urls = [parse_url(f"https://s{i}.weebly.com/") for i in range(3)]
         for url in urls:
             cache.store(url, NavigationVerdict.ALLOWED, now=0)
         assert cache.lookup(urls[0], now=0) is None  # evicted
         assert cache.lookup(urls[2], now=0) is not None
-
-    def test_invalid_config_rejected(self):
-        with pytest.raises(ConfigError):
-            TieredVerdictCache(exact_capacity=0)
-        with pytest.raises(ConfigError):
-            TieredVerdictCache(domain_ttl_minutes=0)
 
 
 class TestInvalidation:

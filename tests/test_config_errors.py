@@ -7,7 +7,7 @@ import repro
 from repro import errors
 from repro.config import (
     DEFAULT_SEED,
-    RngFactory,
+    SeedBank,
     SimulationConfig,
     hhmm_to_minutes,
     minutes_to_hhmm,
@@ -16,19 +16,21 @@ from repro.errors import ConfigError, ReproError
 
 
 class TestRngFactory:
+    """Named, deterministic generator streams from :class:`SeedBank`."""
+
     def test_same_name_same_stream(self):
-        a = RngFactory(1).child("x").random(5)
-        b = RngFactory(1).child("x").random(5)
+        a = SeedBank(1).child("x").random(5)
+        b = SeedBank(1).child("x").random(5)
         assert np.array_equal(a, b)
 
     def test_different_names_independent(self):
-        factory = RngFactory(1)
+        factory = SeedBank(1)
         a = factory.child("alpha").random(5)
         b = factory.child("beta").random(5)
         assert not np.array_equal(a, b)
 
     def test_child_is_cached_and_stateful(self):
-        factory = RngFactory(1)
+        factory = SeedBank(1)
         first = factory.child("x")
         assert factory.child("x") is first
         draw_one = first.random()
@@ -36,19 +38,19 @@ class TestRngFactory:
         assert draw_one != draw_two  # stream continues, not restarts
 
     def test_fresh_restarts_stream(self):
-        factory = RngFactory(1)
+        factory = SeedBank(1)
         factory.child("x").random(10)
         fresh = factory.fresh("x").random(3)
-        assert np.array_equal(fresh, RngFactory(1).fresh("x").random(3))
+        assert np.array_equal(fresh, SeedBank(1).fresh("x").random(3))
 
     def test_different_seeds_differ(self):
-        a = RngFactory(1).child("x").random(5)
-        b = RngFactory(2).child("x").random(5)
+        a = SeedBank(1).child("x").random(5)
+        b = SeedBank(2).child("x").random(5)
         assert not np.array_equal(a, b)
 
     def test_seed_type_validated(self):
         with pytest.raises(ConfigError):
-            RngFactory("not-an-int")
+            SeedBank("not-an-int")
 
 
 class TestTimeFormatting:
@@ -83,15 +85,9 @@ class TestSimulationConfig:
     def test_duration_minutes(self):
         assert SimulationConfig(duration_days=2).duration_minutes == 2 * 24 * 60
 
-    def test_rng_factory_uses_seed(self):
+    def test_seed_bank_uses_seed(self):
         config = SimulationConfig(seed=99)
-        assert config.rng_factory().seed == 99
-
-    def test_scaled_copies_extra(self):
-        config = SimulationConfig(extra={"note": "x"})
-        scaled = config.scaled(0.5)
-        assert scaled.extra == {"note": "x"}
-        assert scaled.extra is not config.extra
+        assert config.seed_bank().seed == 99
 
 
 class TestErrorHierarchy:
