@@ -4,7 +4,7 @@ install:
 	pip install -e . || python setup.py develop
 
 test:
-	pytest tests/
+	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m pytest -x -q
 
 lint:
 	PYTHONPATH=src python -m repro.lint src tests examples benchmarks scripts
@@ -17,7 +17,7 @@ lint-bench:
 	PYTHONPATH=src:benchmarks python -m pytest benchmarks/bench_lint_flow.py -q -s
 
 bench:
-	pytest benchmarks/ --benchmark-only -s
+	PYTHONPATH=src:benchmarks python -m pytest benchmarks/ --benchmark-only -s
 
 classify-bench:
 	PYTHONPATH=src:benchmarks python -m pytest \

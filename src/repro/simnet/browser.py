@@ -20,6 +20,7 @@ from typing import List, Optional, Tuple
 
 from ..errors import FetchError, SiteRemovedError, URLError
 from ..webdoc import Document, VisualSignature, parse_html, render_signature
+from ..webdoc.dom import is_download_link
 from .hosting import FileAsset, HostedSite
 from .tls import Certificate
 from .url import URL, parse_url
@@ -184,13 +185,10 @@ class Browser:
                 continue
             if target.host != snapshot.url.host:
                 snapshot.outbound_links.append(target)
-        for anchor in snapshot.document.download_links():
-            target = self._absolute(snapshot.url, anchor.get("href"))
-            if target is None:
-                continue
-            fetched = self.fetch(target, now)
-            if fetched.ok and fetched.download is not None:
-                snapshot.downloads.append(fetched.download)
+            if is_download_link(anchor):
+                fetched = self.fetch(target, now)
+                if fetched.ok and fetched.download is not None:
+                    snapshot.downloads.append(fetched.download)
 
     # -- multi-hop navigation (PhishIntention-style dynamic analysis) -------------
 

@@ -28,53 +28,51 @@ _IMPLICIT_CLOSE = {
 
 
 class _DomBuilder(HTMLParser):
+    """Builds the element tree from :class:`HTMLParser` callbacks.
+
+    ``HTMLParser`` hands over tag and attribute names already lower-cased.
+    """
+
     def __init__(self) -> None:
         super().__init__(convert_charrefs=True)
         self.root = Element("html")
         self._stack: List[Element] = [self.root]
 
-    # -- helpers --------------------------------------------------------------
-
-    @property
-    def _top(self) -> Element:
-        return self._stack[-1]
-
-    def _open(self, element: Element) -> None:
-        self._top.append(element)
-        self._stack.append(element)
+    def updatepos(self, i: int, j: int) -> int:
+        # Skip the base class's line/column bookkeeping: nothing reads
+        # getpos(), and counting newlines is a measurable share of a parse.
+        return j
 
     # -- HTMLParser callbacks ---------------------------------------------------
 
     def handle_starttag(self, tag: str, attrs: List[Tuple[str, Optional[str]]]) -> None:
-        tag = tag.lower()
-        attr_map = {name.lower(): (value if value is not None else "") for name, value in attrs}
-        closers = _IMPLICIT_CLOSE.get(self._top.tag)
+        stack = self._stack
+        closers = _IMPLICIT_CLOSE.get(stack[-1].tag)
         if closers and tag in closers:
-            self._stack.pop()
-        element = Element(tag, attr_map)
-        if tag in VOID_TAGS:
-            self._top.append(element)
-        else:
-            self._open(element)
+            stack.pop()
+        element = Element(tag, {name: "" if value is None else value for name, value in attrs})
+        stack[-1].children.append(element)
+        if tag not in VOID_TAGS:
+            stack.append(element)
 
-    def handle_startendtag(self, tag: str, attrs) -> None:
-        tag = tag.lower()
-        attr_map = {name.lower(): (value if value is not None else "") for name, value in attrs}
-        self._top.append(Element(tag, attr_map))
+    def handle_startendtag(self, tag: str, attrs: List[Tuple[str, Optional[str]]]) -> None:
+        self._stack[-1].children.append(
+            Element(tag, {name: "" if value is None else value for name, value in attrs})
+        )
 
     def handle_endtag(self, tag: str) -> None:
-        tag = tag.lower()
         if tag in VOID_TAGS:
             return
         # Close up to the matching open tag; ignore strays.
-        for i in range(len(self._stack) - 1, 0, -1):
-            if self._stack[i].tag == tag:
-                del self._stack[i:]
+        stack = self._stack
+        for i in range(len(stack) - 1, 0, -1):
+            if stack[i].tag == tag:
+                del stack[i:]
                 return
 
     def handle_data(self, data: str) -> None:
         if data.strip():
-            self._top.append_text(data)
+            self._stack[-1].children.append(TextNode(data))
 
 
 def _ensure_head_body(root: Element) -> Element:

@@ -67,7 +67,7 @@ def region_signatures(
         else parse_html(doc_or_markup)
     )
     regions = []
-    for element in document.root.iter():
+    for element in document.elements:
         if len(element.children) >= min_subtree_size:
             regions.append(Document(root=element))
         if len(regions) >= max_regions:
@@ -110,7 +110,7 @@ def render_signature(doc_or_markup: Union[Document, str]) -> VisualSignature:
     for token in document.title.lower().split():
         vector[23 + _bucket_hash(token, 4)] += 0.5
 
-    for element in document.root.iter():
+    for element in document.elements:
         style = element.style_declarations()
         for prop in ("background", "background-color", "color"):
             value = style.get(prop)

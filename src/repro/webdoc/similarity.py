@@ -85,7 +85,7 @@ def tag_sequence(doc_or_markup: Union[Document, str]) -> List[str]:
         else parse_html(doc_or_markup)
     )
     sequence: List[str] = []
-    for element in document.root.iter():
+    for element in document.elements:
         attrs = "".join(
             f' {name}="{value}"' for name, value in sorted(element.attrs.items())
         )

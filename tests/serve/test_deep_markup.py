@@ -1,0 +1,49 @@
+"""Deeply nested attacker markup must not take down a batch.
+
+Tree walks used to recurse once per nesting level, so a single page of a
+few thousand nested ``<div>``s raised ``RecursionError`` out of the
+preprocessor and lost every other request queued in the same batch.
+"""
+
+import pytest
+
+from repro.core.preprocess import Preprocessor
+from repro.serve.service import ServedFrom, VerdictService
+
+DEPTH = 5000
+
+
+def _deep_markup(depth: int) -> str:
+    return (
+        "<html><head><title>Verify account</title></head><body>"
+        + "<div>" * depth
+        + '<a href="https://collector.example.net/login">Sign in</a>'
+        + "<input type='password' name='pass'>"
+        + "</div>" * depth
+        + "</body></html>"
+    )
+
+
+@pytest.fixture()
+def urls(web, benign_generator, rng):
+    attacker = web.fwb_providers["weebly"].create_site("deep-nest", "u", 0)
+    attacker.add_page("/", _deep_markup(DEPTH))
+    benign = benign_generator.create_fwb_site(web.fwb_providers["wix"], 0, rng)
+    return attacker.root_url, benign.root_url
+
+
+def test_preprocess_batch_keeps_every_page(web, urls):
+    report = Preprocessor(web).process_batch_report(list(urls), now=0)
+    assert report.skipped == []
+    assert [page.url for page in report.pages] == list(urls)
+    deep = report.pages[0].features.values
+    assert deep["n_external_links"] == 1.0
+    assert deep["n_password_fields"] == 1.0
+
+
+def test_serve_drain_delivers_both_verdicts(web, trained_classifier, urls):
+    service = VerdictService(web, trained_classifier)
+    assert all(service.submit(url, now=0) is None for url in urls)
+    served = service.drain(now=0)
+    assert sorted(str(v.url) for v in served) == sorted(str(u) for u in urls)
+    assert all(v.served_from is ServedFrom.MODEL for v in served)

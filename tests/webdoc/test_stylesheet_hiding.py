@@ -84,3 +84,33 @@ class TestGeneratorIntegration:
             spec = generator.sample_spec(provider.service, rng)
             styles.add(spec.obfuscation_style)
         assert styles == {"inline", "stylesheet"}
+
+
+class TestBareHiddenAttribute:
+    """``<div hidden>`` hides an element exactly like ``hidden="hidden"``."""
+
+    BANNER = (
+        '<html><body><div class="fwb-banner" {attr}>'
+        "Powered by Weebly</div><p>Sign in</p></body></html>"
+    )
+
+    @pytest.mark.parametrize("attr", ["hidden", 'hidden=""', 'hidden="hidden"'])
+    def test_extractor_flags_hidden_banner(self, attr):
+        url = parse_url("https://acme-login.weebly.com/")
+        features = FeatureExtractor().extract(url, self.BANNER.format(attr=attr))
+        assert features.values["obfuscated_fwb_banner"] == 1.0
+
+    def test_visible_banner_not_flagged(self):
+        url = parse_url("https://acme-login.weebly.com/")
+        features = FeatureExtractor().extract(url, self.BANNER.format(attr=""))
+        assert features.values["obfuscated_fwb_banner"] == 0.0
+
+    def test_intel_sees_hidden_elements(self, web):
+        from repro.ecosystem.intel import gather_intel
+        from repro.simnet import Browser
+
+        site = web.fwb_providers["weebly"].create_site("bare-hidden", "u", 0)
+        site.add_page("/", self.BANNER.format(attr="hidden"))
+        intel = gather_intel(web, Browser(web), site.root_url, now=5)
+        assert intel.reachable
+        assert intel.hidden_elements
