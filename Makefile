@@ -32,11 +32,11 @@ telemetry:
 	python scripts/validate_telemetry.py telemetry-out/telemetry.json
 
 examples:
-	python examples/quickstart.py
-	python examples/evasive_attacks.py
-	python examples/browser_extension.py
-	python examples/feature_importance.py
-	python examples/historical_analysis.py
-	python examples/measurement_campaign.py --days 2 --target 150
+	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python examples/quickstart.py
+	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python examples/evasive_attacks.py
+	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python examples/browser_extension.py
+	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python examples/feature_importance.py
+	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python examples/historical_analysis.py
+	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python examples/measurement_campaign.py --days 2 --target 150
 
 all: install lint test bench

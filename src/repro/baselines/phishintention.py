@@ -31,7 +31,7 @@ from ..core.preprocess import ProcessedPage
 from ..errors import NotFittedError
 from ..simnet.browser import Browser
 from ..sitegen.brands import BrandCatalog, default_brand_catalog
-from ..webdoc import parse_html
+from ..webdoc import Document, parse_html
 from .visualphishnet import VisualPhishNetDetector
 
 
@@ -101,26 +101,24 @@ class PhishIntentionDetector:
     # -- phase 2: credential-requiring interface (dynamic) ---------------------------
 
     @staticmethod
-    def _has_credential_interface(markup: str) -> bool:
-        if not markup:
-            return False
-        document = parse_html(markup)
+    def _has_credential_interface(document: Document) -> bool:
         return bool(document.password_inputs()) or len(document.credential_inputs()) >= 2
 
     def _credential_interface(self, page: ProcessedPage, now: int) -> bool:
         snapshot = page.snapshot
-        if self._has_credential_interface(snapshot.markup):
+        if self._has_credential_interface(snapshot.document):
             return True
         # Client-side rendered frames: PhishIntention's CRP-transition check.
+        # Frames are stored as markup; unresolvable ones carry none.
         for _src, framed_markup in snapshot.iframe_contents:
-            if self._has_credential_interface(framed_markup):
+            if framed_markup and self._has_credential_interface(parse_html(framed_markup)):
                 return True
         if snapshot.downloads and any(a.malicious for a in snapshot.downloads):
             return True
         # Dynamic analysis: click through the primary call-to-action chain.
         chain = self.browser.follow_workflow(page.url, now, max_hops=self.max_hops)
         for hop in chain[1:]:
-            if self._has_credential_interface(hop.markup):
+            if self._has_credential_interface(hop.document):
                 return True
             if hop.downloads and any(a.malicious for a in hop.downloads):
                 return True

@@ -20,7 +20,6 @@ from enum import Enum
 from typing import Optional
 
 from ..simnet.browser import Browser, PageSnapshot
-from ..webdoc import parse_html
 
 #: File detections at/above which the paper marks a payload malicious.
 MALWARE_DETECTION_THRESHOLD = 4
@@ -64,10 +63,7 @@ def classify_evasive(
     # Two-step: follow the primary call-to-action to another domain.
     chain = browser.follow_workflow(snapshot.url, moment, max_hops=2)
     for hop in chain[1:]:
-        if hop.url.host == snapshot.url.host:
-            continue
-        document = parse_html(hop.markup)
-        if document.password_inputs() or len(document.credential_inputs()) >= 2:
+        if hop.url.host != snapshot.url.host and has_credential_fields(hop):
             return EvasiveVector.TWO_STEP
     # The landing page may point at an already-removed external target;
     # an outbound button with a dead cross-domain target still counts.

@@ -14,6 +14,7 @@ from typing import List, Optional, Tuple
 
 from ..errors import ParseError
 from .dom import Document, Element, TextNode, VOID_TAGS
+from .lexer import OutsideSubset, lex
 
 # Elements whose end tag is commonly omitted; closing them implicitly when a
 # sibling opens keeps the tree sane.
@@ -30,7 +31,8 @@ _IMPLICIT_CLOSE = {
 class _DomBuilder(HTMLParser):
     """Builds the element tree from :class:`HTMLParser` callbacks.
 
-    ``HTMLParser`` hands over tag and attribute names already lower-cased.
+    :func:`.lexer.lex` makes the same calls for markup inside its subset.
+    Both hand over tag and attribute names already lower-cased.
     """
 
     def __init__(self) -> None:
@@ -103,14 +105,23 @@ def _ensure_head_body(root: Element) -> Element:
 def parse_html(markup: str) -> Document:
     """Parse HTML markup into a :class:`Document`.
 
+    The tree is the one :class:`HTMLParser` builds on the running
+    interpreter. Markup inside the :mod:`.lexer` subset is tokenized by the
+    lexer, which drives the same builder callbacks; any other page is
+    reparsed from scratch by ``HTMLParser``.
+
     Never raises on messy-but-textual input; raises
     :class:`~repro.errors.ParseError` only for non-string input.
     """
     if not isinstance(markup, str):
         raise ParseError(f"expected str markup, got {type(markup).__name__}")
     builder = _DomBuilder()
-    builder.feed(markup)
-    builder.close()
+    try:
+        lex(markup, builder)
+    except OutsideSubset:
+        builder = _DomBuilder()
+        builder.feed(markup)
+        builder.close()
 
     root = builder.root
     # If the document supplied its own <html>, unwrap our synthetic root.

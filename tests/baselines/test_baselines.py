@@ -12,6 +12,7 @@ from repro.baselines import (
 from repro.errors import NotFittedError
 from repro.ml import train_test_split
 from repro.simnet import Browser
+from repro.webdoc import parse_html
 
 
 @pytest.fixture(scope="module")
@@ -149,6 +150,44 @@ class TestPhishIntention:
             detector.predict_page(ground_truth.pages[i]) for i in two_step_indices
         )
         assert caught >= len(two_step_indices) * 0.6
+
+    def test_credential_interface_reads_snapshot_documents(self, ground_truth, parse_calls):
+        """Phase 2 parses only iframe markup; page and hop documents are reused."""
+        detector = PhishIntentionDetector(Browser(ground_truth.web), random_state=2)
+        browser = Browser(ground_truth.web)
+
+        def reparsing_reference(page, now):
+            snapshot = page.snapshot
+            framed = [markup for _src, markup in snapshot.iframe_contents]
+            chain = browser.follow_workflow(page.url, now, max_hops=detector.max_hops)
+            for markup in [snapshot.markup] + framed:
+                document = parse_html(markup)
+                if document.password_inputs() or len(document.credential_inputs()) >= 2:
+                    return True
+            if any(a.malicious for a in snapshot.downloads):
+                return True
+            for hop in chain[1:]:
+                document = parse_html(hop.markup)
+                if document.password_inputs() or len(document.credential_inputs()) >= 2:
+                    return True
+                if any(a.malicious for a in hop.downloads):
+                    return True
+            return False
+
+        two_step = [
+            page for page, variant in zip(ground_truth.pages, ground_truth.variants)
+            if variant == "two_step"
+        ]
+        assert two_step
+        for page in ground_truth.pages:
+            assert detector._credential_interface(page, 10) == reparsing_reference(page, 10)
+        for page in two_step:
+            del parse_calls[:]
+            chain = browser.follow_workflow(page.url, 10, max_hops=detector.max_hops)
+            workflow_parses = len(parse_calls)
+            del parse_calls[:]
+            assert detector._credential_interface(page, 10)
+            assert len(parse_calls) == workflow_parses == len(chain)
 
 
 class TestBaseStackModel:

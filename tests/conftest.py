@@ -7,6 +7,8 @@ assert against realistic data.
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from repro.sitegen import (
     PhishingKitGenerator,
     PhishingSiteGenerator,
 )
+from repro.webdoc import parse_html
 
 
 @pytest.fixture()
@@ -70,3 +73,18 @@ def campaign_world_and_result():
     world = CampaignWorld(config, train_samples_per_class=60)
     result = world.run()
     return world, result
+
+
+@pytest.fixture()
+def parse_calls(monkeypatch):
+    """Count ``parse_html`` calls made through any loaded ``repro`` module."""
+    calls = []
+
+    def counting(markup):
+        calls.append(markup)
+        return parse_html(markup)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("repro") and getattr(module, "parse_html", None) is parse_html:
+            monkeypatch.setattr(module, "parse_html", counting)
+    return calls

@@ -25,7 +25,7 @@ class TestHeuristics:
         assert has_credential_fields(snap)
         assert classify_evasive(snap, Browser(web)) is None
 
-    def test_two_step_classified(self, web, phishing_generator, rng):
+    def test_two_step_classified(self, web, phishing_generator, rng, parse_calls):
         target = web.self_hosting.create_site("target-kit.xyz", "attacker", 0)
         target.add_page(
             "/", "<html><body><form><input type=password></form></body></html>"
@@ -34,7 +34,11 @@ class TestHeuristics:
             web, phishing_generator, rng, "google_sites",
             PhishingVariant.TWO_STEP, target="https://target-kit.xyz/",
         )
+        del parse_calls[:]
         assert classify_evasive(snap, Browser(web)) is EvasiveVector.TWO_STEP
+        # Only the browser's snapshots of the two workflow hops parse; the
+        # hop's credential check reads the document already parsed.
+        assert len(parse_calls) == 2
 
     def test_two_step_with_dead_target_still_classified(
         self, web, phishing_generator, rng
