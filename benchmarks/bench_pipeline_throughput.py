@@ -46,7 +46,7 @@ def test_snapshot_and_feature_extraction_rate(benchmark, pipeline_world):
 def test_classifier_inference_rate(benchmark, pipeline_world):
     world, site = pipeline_world
     preprocessor = Preprocessor(world.web, Browser(world.web))
-    page = preprocessor.process(site.root_url, 10 ** 7 + 5, keep=False)
+    page = preprocessor.process(site.root_url, 10 ** 7 + 5)
 
     prediction = benchmark(world.classifier.classify_page, page)
     assert prediction.label in (0, 1)

@@ -165,9 +165,7 @@ class FreePhish:
             kept: List[StreamObservation] = []
             with instr.span("framework.preprocess"):
                 for observation in eligible:
-                    page = self.preprocessor.process(
-                        observation.url, now, keep=False
-                    )
+                    page = self.preprocessor.process(observation.url, now)
                     if page is None:
                         self._c_unreachable.inc()
                         continue

@@ -4,13 +4,12 @@ Stores a full snapshot of each streamed website (source + rendered
 signature, the stand-in for a screenshot) and extracts the classifier's
 feature set. Unreachable URLs are dropped, mirroring the real pipeline.
 
-Re-observations are memoized: each processed page is cached under its
-:func:`~repro.core.features.snapshot_key` content hash, so observing a URL
-whose markup has not changed (the monitor re-checks every tracked URL for
-days) skips HTML parsing and feature extraction entirely. The cache is a
-bounded LRU; a page whose markup changed — or that became unreachable —
-never hits it, because the cheap ``fetch`` runs first and the key covers
-the fetched markup. See ``docs/PERFORMANCE.md``.
+The :class:`Preprocessor` is the process's one page store, read by the
+framework and by threat intel: a bounded LRU of what each page version's
+:func:`~repro.core.features.snapshot_key` determines (its parse, and its
+features once asked for). Fetch time, certificate, iframes, downloads and
+links can change while the markup does not, so every snapshot is
+assembled fresh. See ``docs/PERFORMANCE.md``.
 """
 
 from __future__ import annotations
@@ -26,10 +25,20 @@ from ..obs.instrument import NULL_INSTRUMENTATION, Instrumentation
 from ..simnet.browser import Browser, PageSnapshot
 from ..simnet.url import URL
 from ..simnet.web import Web
+from ..webdoc import Document
 from .features import FeatureExtractor, PageFeatures, snapshot_key
 
-#: Capacity of the snapshot-keyed page cache, in processed pages.
+#: Capacity of the snapshot-keyed page store, in page versions.
 PAGE_CACHE_SIZE = 2048
+
+
+@dataclass
+class _StoredPage:
+    """What one ``snapshot_key`` determines; features are filled lazily."""
+
+    document: Document
+    features: Optional[PageFeatures] = None
+    fwb_name: Optional[str] = None
 
 
 @dataclass
@@ -80,7 +89,7 @@ class PreprocessBatch:
 
 
 class Preprocessor:
-    """Snapshot + feature-extraction stage of the pipeline."""
+    """Snapshot + feature-extraction stage and the process's page store."""
 
     def __init__(
         self,
@@ -94,66 +103,58 @@ class Preprocessor:
             instrumentation if instrumentation is not None else NULL_INSTRUMENTATION
         )
         self.extractor = FeatureExtractor()
-        #: Snapshot archive, as the paper stores full website snapshots.
-        #: Only populated by ``keep=True`` calls — never by the cache.
-        self.archive: List[ProcessedPage] = []
-        self._page_cache: "OrderedDict[str, ProcessedPage]" = OrderedDict()
+        self._page_cache: "OrderedDict[str, _StoredPage]" = OrderedDict()
         self._c_hit = self._instr.counter("preprocess.cache.hit")
         self._c_miss = self._instr.counter("preprocess.cache.miss")
         self._c_evicted = self._instr.counter("preprocess.cache.evicted")
 
     @property
     def cache_len(self) -> int:
-        """Number of processed pages currently memoized."""
+        """Number of page versions currently stored."""
         return len(self._page_cache)
 
-    def process(self, url: URL, now: int, keep: bool = True) -> Optional[ProcessedPage]:
-        """Snapshot and featurize one URL; ``None`` if it cannot be fetched.
+    def snapshot(self, url: URL, now: int) -> PageSnapshot:
+        """Equal to ``Browser.snapshot(url, now)``, raising alike, but
+        parsing each page version once."""
+        return self._load(url, now)[0]
 
-        Fetch-first fast path: the markup fetch is cheap, so it runs
-        first; if the fetched content hashes to an already-processed page,
-        the cached :class:`ProcessedPage` is returned without re-parsing.
-        An unreachable or changed page can therefore never be served
-        stale. On a miss the probe's :class:`~repro.simnet.browser.FetchResult`
-        is handed to ``snapshot_from``, so the markup is fetched once, not
-        twice.
-        """
-        try:
-            result = self.browser.fetch(url, now)
-            if not result.ok:
-                # snapshot() raises SiteRemovedError for this status.
-                return None
-            key = snapshot_key(url, result.markup)
-            cached = self._page_cache.get(key)
-            if cached is not None:
-                self._page_cache.move_to_end(key)
-                self._c_hit.inc()
-                if keep:
-                    self.archive.append(cached)
-                return cached
+    def _load(self, url: URL, now: int) -> Tuple[PageSnapshot, _StoredPage]:
+        """Fetch first, then parse only a markup not yet stored. Failed
+        fetches (``snapshot_from`` raises) and bare file downloads (no
+        markup) bypass the store."""
+        result = self.browser.fetch(url, now)
+        if not result.ok or result.download is not None:
             snapshot = self.browser.snapshot_from(result, now)
-        except FetchError:
-            return None
-        features = self.extractor.extract(url, snapshot)
-        service = self.web.fwb_for(url)
-        page = ProcessedPage(
-            url=url,
-            snapshot=snapshot,
-            features=features,
-            fwb_name=service.name if service is not None else None,
-        )
+            return snapshot, _StoredPage(snapshot.document)  # not stored
+        key = snapshot_key(url, result.markup)
+        stored = self._page_cache.get(key)
+        if stored is not None:
+            self._page_cache.move_to_end(key)
+            self._c_hit.inc()
+            return self.browser.snapshot_from(result, now, stored.document), stored
+        snapshot = self.browser.snapshot_from(result, now)
+        stored = _StoredPage(snapshot.document)
         self._c_miss.inc()
-        self._page_cache[key] = page
+        self._page_cache[key] = stored
         while len(self._page_cache) > PAGE_CACHE_SIZE:
             self._page_cache.popitem(last=False)
             self._c_evicted.inc()
-        if keep:
-            self.archive.append(page)
-        return page
+        return snapshot, stored
 
-    def process_batch_report(
-        self, urls: List[URL], now: int, keep: bool = False
-    ) -> PreprocessBatch:
+    def process(self, url: URL, now: int) -> Optional[ProcessedPage]:
+        """Snapshot and featurize one URL (features once per page version);
+        ``None`` if it cannot be fetched."""
+        try:
+            snapshot, stored = self._load(url, now)
+        except FetchError:
+            return None
+        if stored.features is None:
+            stored.features = self.extractor.extract(url, snapshot)
+            service = self.web.fwb_for(url)
+            stored.fwb_name = service.name if service is not None else None
+        return ProcessedPage(url, snapshot, stored.features, stored.fwb_name)
+
+    def process_batch_report(self, urls: List[URL], now: int) -> PreprocessBatch:
         """Snapshot and featurize a batch, skipping-and-reporting failures.
 
         One dead URL (taken down mid-batch, or a custom browser raising
@@ -164,13 +165,7 @@ class Preprocessor:
         pages: List[ProcessedPage] = []
         skipped: List[SkippedURL] = []
         for url in urls:
-            try:
-                page = self.process(url, now, keep=keep)
-            except FetchError as exc:
-                # process() shields the snapshot call, but browser
-                # subclasses may raise while resolving iframes/downloads.
-                skipped.append(SkippedURL(url=url, reason=str(exc)))
-                continue
+            page = self.process(url, now)
             if page is None:
                 skipped.append(SkippedURL(url=url, reason="unreachable"))
                 continue

@@ -29,7 +29,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from ..errors import FetchError
-from ..simnet.browser import Browser, PageSnapshot
+from ..simnet.browser import PageSource
 from ..simnet.tls import ValidationLevel
 from ..simnet.url import URL, count_sensitive_words
 from ..simnet.web import Web
@@ -88,7 +88,7 @@ DEFAULT_WEIGHTS: Dict[str, float] = {
 }
 
 
-def gather_intel(web: Web, browser: Browser, url: URL, now: int) -> UrlIntel:
+def gather_intel(web: Web, pages: PageSource, url: URL, now: int) -> UrlIntel:
     """Collect everything an external scanner can observe about ``url``."""
     intel = UrlIntel(url=url)
     whois = web.whois.lookup(url, now)
@@ -106,7 +106,7 @@ def gather_intel(web: Web, browser: Browser, url: URL, now: int) -> UrlIntel:
         intel.fwb_scrutiny = service.scrutiny
 
     try:
-        snapshot = browser.snapshot(url, now)
+        snapshot = pages.snapshot(url, now)
     except FetchError:
         return intel
     intel.reachable = True
@@ -283,16 +283,16 @@ INTEL_BUCKET_MINUTES = 24 * 60
 class IntelService:
     """Caches intel per (url, coarse time bucket) for the ecosystem."""
 
-    def __init__(self, web: Web, browser: Optional[Browser] = None) -> None:
+    def __init__(self, web: Web, pages: PageSource) -> None:
         self.web = web
-        self.browser = browser if browser is not None else Browser(web)
+        self.pages = pages
         self._cache: Dict[tuple, UrlIntel] = {}
 
     def intel_for(self, url: URL, now: int) -> UrlIntel:
         key = (str(url), now // INTEL_BUCKET_MINUTES)
         cached = self._cache.get(key)
         if cached is None:
-            cached = gather_intel(self.web, self.browser, url, now)
+            cached = gather_intel(self.web, self.pages, url, now)
             self._cache[key] = cached
         return cached
 

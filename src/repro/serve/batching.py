@@ -183,10 +183,7 @@ class MicroBatcher:
         self, unique: Dict[str, URL], now: int
     ) -> Dict[str, "tuple[NavigationVerdict, Optional[float]]"]:
         """One snapshot pass + one ``classify_pages`` call for the batch."""
-        keys = list(unique.keys())
-        report = self.preprocessor.process_batch_report(
-            [unique[key] for key in keys], now, keep=False
-        )
+        report = self.preprocessor.process_batch_report(list(unique.values()), now)
         outcomes: Dict[str, "tuple[NavigationVerdict, Optional[float]]"] = {
             cache_key(skip.url): (NavigationVerdict.UNREACHABLE, None)
             for skip in report.skipped

@@ -101,7 +101,7 @@ def run_serve_bench(
     baseline_pre = Preprocessor(web)
     baseline_start = clock()
     for url in baseline_sample:
-        page = baseline_pre.process(url, 0, keep=False)
+        page = baseline_pre.process(url, 0)
         if page is not None:
             classifier.classify_page(page)
     baseline_elapsed = clock() - baseline_start

@@ -110,12 +110,11 @@ class VerdictService:
     ) -> None:
         self.web = web
         self.classifier = classifier
-        self.browser = browser if browser is not None else Browser(web)
         instr = (
             instrumentation if instrumentation is not None else NULL_INSTRUMENTATION
         )
         self._instr = instr
-        self.preprocessor = Preprocessor(web, self.browser, instrumentation=instr)
+        self.preprocessor = Preprocessor(web, browser, instrumentation=instr)
         self.cache = TieredVerdictCache(instrumentation=instr)
         self.batcher = MicroBatcher(
             self.preprocessor,

@@ -16,7 +16,6 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from ..core.preprocess import Preprocessor, ProcessedPage
-from ..simnet.browser import Browser
 from ..simnet.web import Web
 from ..sitegen.brands import BrandCatalog, default_brand_catalog
 from ..sitegen.kits import PhishingKitGenerator
@@ -62,8 +61,7 @@ def build_ground_truth(
     rng = np.random.default_rng(seed)
     web = web if web is not None else Web()
     catalog = catalog if catalog is not None else default_brand_catalog()
-    browser = Browser(web)
-    preprocessor = Preprocessor(web, browser)
+    preprocessor = Preprocessor(web)
     phish_gen = PhishingSiteGenerator(catalog=catalog)
     benign_gen = LegitimateSiteGenerator()
     kit_gen = PhishingKitGenerator(catalog=catalog)
@@ -88,7 +86,7 @@ def build_ground_truth(
             target.metadata["linked_only"] = True
             spec.target_url = str(target.root_url)
         site = phish_gen.create_site(provider, now=0, rng=rng, spec=spec)
-        page = preprocessor.process(site.root_url, now=10, keep=False)
+        page = preprocessor.process(site.root_url, now=10)
         if page is None:  # pragma: no cover - generated sites are fetchable
             continue
         pages.append(page)
@@ -98,7 +96,7 @@ def build_ground_truth(
     for _ in range(n_per_class):
         provider = providers[int(rng.integers(len(providers)))]
         site = benign_gen.create_fwb_site(provider, now=0, rng=rng)
-        page = preprocessor.process(site.root_url, now=10, keep=False)
+        page = preprocessor.process(site.root_url, now=10)
         if page is None:  # pragma: no cover
             continue
         pages.append(page)

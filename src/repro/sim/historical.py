@@ -25,9 +25,9 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..core.preprocess import Preprocessor
 from ..ecosystem.intel import IntelService
 from ..ecosystem.virustotal import VirusTotal
-from ..simnet.browser import Browser
 from ..simnet.url import URL, parse_url
 from ..simnet.web import Web
 from ..sitegen.brands import default_brand_catalog
@@ -202,8 +202,7 @@ class HistoricalPipeline:
     def run(self, scale: float = 0.02) -> D1Dataset:
         """Run SLD filtering + VT labelling over the generated stream."""
         stream, _quarters = self.generate_stream(scale)
-        browser = Browser(self.web)
-        intel = IntelService(self.web, browser)
+        intel = IntelService(self.web, Preprocessor(self.web))
         from ..ecosystem.engines import default_engine_fleet
         from ..config import SeedBank
 

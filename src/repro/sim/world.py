@@ -37,7 +37,6 @@ from ..ecosystem.virustotal import VirusTotal
 from ..ml import RandomForestClassifier
 from ..obs.events import ConsoleSink
 from ..obs.instrument import Instrumentation
-from ..simnet.browser import Browser
 from ..simnet.web import Web
 from ..social.facebook import CrowdTangleAPI, FacebookPlatform
 from ..social.twitter import TwitterAPI, TwitterPlatform
@@ -85,8 +84,9 @@ class CampaignWorld:
 
         # Substrate.
         self.web = Web()
-        self.browser = Browser(self.web)
-        self.intel = IntelService(self.web, self.browser)
+        # The one page store, shared by FreePhish and the ecosystem's intel.
+        self.preprocessor = Preprocessor(self.web, instrumentation=self.instr)
+        self.intel = IntelService(self.web, self.preprocessor)
 
         # Social platforms.
         self.twitter = TwitterPlatform(
@@ -128,9 +128,6 @@ class CampaignWorld:
         )
 
         # FreePhish.
-        self.preprocessor = Preprocessor(
-            self.web, self.browser, instrumentation=self.instr
-        )
         self.classifier = FreePhishClassifier(
             model=RandomForestClassifier(
                 n_estimators=40, max_depth=10, random_state=self.config.seed

@@ -16,7 +16,7 @@ whether they look inside.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional, Protocol, Tuple
 
 from ..errors import FetchError, SiteRemovedError, URLError
 from ..webdoc import Document, VisualSignature, parse_html, render_signature
@@ -79,6 +79,14 @@ class PageSnapshot:
         return self._signature
 
 
+class PageSource(Protocol):
+    """Turns ``(url, now)`` into a :class:`PageSnapshot`: a
+    :class:`Browser`, or the ``Preprocessor`` page store."""
+
+    def snapshot(self, url: URL, now: int) -> PageSnapshot:
+        """Raises :class:`~repro.errors.FetchError` if unreachable."""
+
+
 class Browser:
     """A headless browser over the simulated :class:`Web`."""
 
@@ -117,31 +125,20 @@ class Browser:
         """
         return self.snapshot_from(self.fetch(url, now), now)
 
-    def snapshot_from(self, result: FetchResult, now: int) -> PageSnapshot:
+    def snapshot_from(
+        self, result: FetchResult, now: int, document: Optional[Document] = None
+    ) -> PageSnapshot:
         """Complete a snapshot from an already-fetched :class:`FetchResult`.
 
-        The preprocessing cache probes with a cheap :meth:`fetch` before
-        deciding whether to parse; on a cache miss this entry point
-        finishes the snapshot without fetching the markup a second time.
-        The simulated web is deterministic at fixed ``now``, so the result
-        is identical to :meth:`snapshot` on ``result.url``.
+        The markup is parsed unless its ``document`` is passed in; the rest
+        is read at ``now`` on every call. The simulated web is deterministic
+        at fixed ``now``, so the result is identical to :meth:`snapshot`.
         """
         url = result.url
         if not result.ok:
             raise SiteRemovedError(f"cannot snapshot {url} (status {result.status})")
-        if result.download is not None:
-            # A bare file URL: wrap it in an empty page carrying the download.
-            document = parse_html("<html><head></head><body></body></html>")
-            return PageSnapshot(
-                url=url,
-                fetched_at=now,
-                markup="",
-                document=document,
-                certificate=result.certificate,
-                downloads=[result.download],
-            )
-
-        document = parse_html(result.markup)
+        if document is None:
+            document = parse_html(result.markup)
         snapshot = PageSnapshot(
             url=url,
             fetched_at=now,
@@ -149,6 +146,9 @@ class Browser:
             document=document,
             certificate=result.certificate,
         )
+        if result.download is not None:
+            # A bare file URL: an empty page carrying the download.
+            snapshot.downloads.append(result.download)
         self._resolve_iframes(snapshot, now)
         self._collect_links(snapshot, now)
         return snapshot

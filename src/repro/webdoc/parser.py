@@ -76,6 +76,15 @@ class _DomBuilder(HTMLParser):
         if data.strip():
             self._stack[-1].children.append(TextNode(data))
 
+    def parse_marked_section(self, i: int, report: int = 1) -> int:
+        # The base class raises on an unknown keyword (``<![invalid]>``);
+        # skip such a section up to its ``>``, adding nothing.
+        try:
+            return super().parse_marked_section(i, report)
+        except (AssertionError, NotImplementedError):
+            end = self.rawdata.find(">", i + 3)
+            return -1 if end < 0 else end + 1
+
 
 def _ensure_head_body(root: Element) -> Element:
     """Normalize the tree to <html><head>...</head><body>...</body></html>."""

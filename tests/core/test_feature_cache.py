@@ -3,8 +3,8 @@
 Covers the hot-path additions of the performance pass:
 
 * :func:`snapshot_key` — the sanctioned cache-key producer (RP304);
-* the :class:`Preprocessor` page cache, the only feature memo
-  (hit/miss/evicted counters, LRU bound and recency, keep=False hygiene);
+* the :class:`Preprocessor` page store, the only page memo
+  (hit/miss/evicted counters, LRU bound and recency);
 * :meth:`FreePhishClassifier.classify_pages` — one ``predict_proba`` per
   batch, bit-identical to the per-page path;
 * the lazily rendered :class:`PageSnapshot` visual signature.
@@ -78,57 +78,54 @@ class TestPreprocessorCache:
     def test_reobservation_hits(self, web, live_urls):
         instr = Instrumentation()
         pre = Preprocessor(web, instrumentation=instr)
-        first = pre.process(live_urls[0], now=0, keep=False)
-        second = pre.process(live_urls[0], now=30, keep=False)
-        assert second is first
+        first = pre.process(live_urls[0], now=0)
+        second = pre.process(live_urls[0], now=30)
+        # The version's parse and features are shared; the snapshot is new.
+        assert second.snapshot.document is first.snapshot.document
+        assert second.features is first.features
+        assert second.snapshot.fetched_at == 30
         assert self._counters(instr) == (1, 1, 0)
-
-    def test_keep_false_never_archives(self, web, live_urls):
-        """Regression: discarded observations must not grow internal state."""
-        pre = Preprocessor(web)
-        pre.process(live_urls[0], now=0, keep=False)
-        pre.process(live_urls[0], now=30, keep=False)  # cache-hit path too
-        assert pre.archive == []
-
-    def test_keep_true_archives_even_on_cache_hit(self, web, live_urls):
-        pre = Preprocessor(web)
-        pre.process(live_urls[0], now=0, keep=False)
-        page = pre.process(live_urls[0], now=30, keep=True)
-        assert pre.archive == [page]
 
     def test_cache_bound_and_evictions(self, web, live_urls, monkeypatch):
         monkeypatch.setattr(preprocess_module, "PAGE_CACHE_SIZE", 2)
         instr = Instrumentation()
         pre = Preprocessor(web, instrumentation=instr)
         for url in live_urls[:3]:
-            pre.process(url, now=0, keep=False)
+            pre.process(url, now=0)
         assert pre.cache_len == 2
         assert self._counters(instr) == (0, 3, 1)
 
     def test_lru_recency_order(self, web, live_urls, monkeypatch):
         monkeypatch.setattr(preprocess_module, "PAGE_CACHE_SIZE", 2)
-        pre = Preprocessor(web)
+        instr = Instrumentation()
+        pre = Preprocessor(web, instrumentation=instr)
         url_a, url_b, url_c = live_urls[:3]
-        a = pre.process(url_a, now=0, keep=False)
-        b = pre.process(url_b, now=0, keep=False)
+        a = pre.process(url_a, now=0)
+        b = pre.process(url_b, now=0)
         # Touch A so B is the eviction victim when C arrives.
-        assert pre.process(url_a, now=0, keep=False) is a
-        pre.process(url_c, now=0, keep=False)
-        assert pre.process(url_a, now=0, keep=False) is a  # still cached
-        assert pre.process(url_b, now=0, keep=False) is not b  # evicted
+        assert pre.process(url_a, now=5).features is a.features
+        pre.process(url_c, now=5)
+        still_cached = pre.process(url_a, now=10)  # A survived
+        assert still_cached.features is a.features
+        assert still_cached.snapshot.document is a.snapshot.document
+        assert still_cached.snapshot.fetched_at == 10
+        reloaded = pre.process(url_b, now=10)  # B was evicted
+        assert reloaded.features is not b.features
+        assert reloaded.snapshot.document is not b.snapshot.document
+        assert self._counters(instr) == (2, 4, 2)
 
     def test_unreachable_returns_none_without_caching(self, web):
         instr = Instrumentation()
         pre = Preprocessor(web, instrumentation=instr)
         ghost = parse_url("https://ghost.weebly.com/")
-        assert pre.process(ghost, now=0, keep=False) is None
+        assert pre.process(ghost, now=0) is None
         assert pre.cache_len == 0
         assert self._counters(instr) == (0, 0, 0)
 
     def test_cached_page_features_identical(self, web, live_urls):
         pre = Preprocessor(web)
-        first = pre.process(live_urls[1], now=0, keep=False)
-        fresh = Preprocessor(web).process(live_urls[1], now=30, keep=False)
+        first = pre.process(live_urls[1], now=0)
+        fresh = Preprocessor(web).process(live_urls[1], now=30)
         assert np.array_equal(first.fwb_vector, fresh.fwb_vector)
 
 
@@ -236,7 +233,7 @@ class TestFrameworkBatching:
         expected = []
         reference = Preprocessor(web)
         for observation in observations:
-            page = reference.process(observation.url, 10, keep=False)
+            page = reference.process(observation.url, 10)
             prediction = classifier.classify_page(page)
             if prediction.label == 1:
                 expected.append((str(observation.url), prediction.probability))

@@ -30,7 +30,6 @@ class TestPreprocessor:
         assert page is not None
         assert page.fwb_name == "weebly"
         assert page.fwb_vector.shape == (20,)
-        assert len(pre.archive) == 1
 
     def test_unreachable_returns_none(self, web):
         pre = Preprocessor(web)

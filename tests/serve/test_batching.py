@@ -93,7 +93,7 @@ class TestScoring:
         (batched,) = batcher.flush(now=0)
         assert single.verdict is batched.verdict
         assert single.probability == batched.probability
-        page = batcher.preprocessor.process(url, now=0, keep=False)
+        page = batcher.preprocessor.process(url, now=0)
         (expected,) = batcher.classifier.classify_pages([page])
         assert batched.probability == expected.probability
 

@@ -53,3 +53,8 @@ class TestExamples:
         result = _run("historical_analysis.py")
         assert result.returncode == 0, result.stderr
         assert "pipeline funnel" in result.stdout
+
+    def test_feature_importance(self):
+        result = _run("feature_importance.py")
+        assert result.returncode == 0, result.stderr
+        assert "Augmented feature set (ours)" in result.stdout
