@@ -1,4 +1,4 @@
-.PHONY: install test lint lint-ratchet lint-bench bench classify-bench serve-bench telemetry examples all
+.PHONY: install test lint lint-ratchet lint-bench bench classify-bench telemetry examples all
 
 install:
 	pip install -e . || python setup.py develop
@@ -22,9 +22,6 @@ bench:
 classify-bench:
 	PYTHONPATH=src:benchmarks python -m pytest \
 		benchmarks/bench_classify_throughput.py -q -s
-
-serve-bench:
-	PYTHONPATH=src python -m repro serve-bench --out BENCH_serve.json
 
 telemetry:
 	PYTHONPATH=src python -m repro campaign --days 1 --target 60 \

@@ -34,7 +34,7 @@ def test_snapshot_and_feature_extraction_rate(benchmark, pipeline_world):
     world, site = pipeline_world
     preprocessor = Preprocessor(world.web, Browser(world.web))
 
-    page = benchmark(preprocessor.process, site.root_url, 10 ** 7 + 5, False)
+    page = benchmark(preprocessor.process, site.root_url, 10 ** 7 + 5)
     assert page is not None
     emit(
         "Throughput — preprocessing",

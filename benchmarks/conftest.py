@@ -9,10 +9,6 @@ evaluation section.
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-from typing import List
-
 import pytest
 
 from repro.config import SimulationConfig
@@ -25,66 +21,18 @@ BENCH_SEED = 20231024
 BENCH_DAYS = 8
 BENCH_TARGET = 1400
 
-#: Worlds whose wall-clock stage profile should land in BENCH_pipeline.json.
-_profiled_worlds: List[CampaignWorld] = []
-
-
 @pytest.fixture(scope="session")
 def bench_campaign():
     config = SimulationConfig(
         seed=BENCH_SEED, duration_days=BENCH_DAYS, target_fwb_phishing=BENCH_TARGET
     )
-    # Wall-clock profiling mode: span histograms hold real per-stage
-    # durations (seconds) instead of simulated minutes.
     world = CampaignWorld(
         config,
         train_samples_per_class=200,
-        instrumentation=Instrumentation.profiling(),
+        instrumentation=Instrumentation(),
     )
     result = world.run()
-    _profiled_worlds.append(world)
     return world, result
-
-
-#: Stages summarised in BENCH_pipeline.json. "step" is the full pipeline
-#: tick (poll + preprocess + classify + report).
-_PIPELINE_STAGES = ("poll", "preprocess", "classify", "report", "step")
-
-
-def _stage_profile(world: CampaignWorld) -> dict:
-    registry = world.instr.metrics
-    urls = registry.counter("framework.observations").value
-    stages = {}
-    for stage in _PIPELINE_STAGES:
-        snap = registry.histogram(f"span.framework.{stage}").snapshot()
-        total_s = snap["sum"]
-        stages[stage] = {
-            "calls": snap["count"],
-            "p50_ms": None if snap["p50"] is None else snap["p50"] * 1e3,
-            "p90_ms": None if snap["p90"] is None else snap["p90"] * 1e3,
-            "total_s": total_s,
-            "urls_per_s": urls / total_s if total_s else None,
-        }
-    return stages
-
-
-def pytest_sessionfinish(session, exitstatus):
-    """Dump the bench campaign's per-stage wall-clock profile."""
-    if not _profiled_worlds:
-        return
-    world = _profiled_worlds[-1]
-    payload = {
-        "schema": "repro.obs/bench_pipeline.v1",
-        "campaign": {
-            "seed": world.config.seed,
-            "duration_days": world.config.duration_minutes // (24 * 60),
-            "target_fwb_phishing": world.config.target_fwb_phishing,
-            "observations": world.framework.stats.observations,
-        },
-        "stages": _stage_profile(world),
-    }
-    out = Path(session.config.rootpath) / "BENCH_pipeline.json"
-    out.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 @pytest.fixture(scope="session")

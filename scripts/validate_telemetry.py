@@ -1,7 +1,8 @@
 #!/usr/bin/env python
 """Validate a telemetry export against ``docs/telemetry.schema.json``.
 
-CI runs this after the campaign smoke export. The container deliberately
+CI runs this after the campaign smoke export, and the tier-1 serve
+tests load it by path to check a served replay's telemetry. The container deliberately
 has no third-party schema library, so this is a self-contained
 interpreter of exactly the JSON-Schema subset the telemetry schema uses:
 
@@ -100,9 +101,10 @@ _SERVED_PREFIX = "serve.served."
 def serve_consistency(document: Any) -> List[str]:
     """Cross-counter invariants for serving-layer telemetry.
 
-    Exports that contain serve metrics (``repro serve-bench
-    --export-dir``) are drained before export, so the counters must
-    balance exactly:
+    Exports that contain serve metrics (a replay through
+    ``VerdictService.submit``/``pump``/``drain``, as in
+    ``tests/serve/test_service.py``) are drained before export, so the
+    counters must balance exactly:
 
     * every request is served exactly once, from exactly one source;
     * every request does exactly one tiered-cache lookup, which either

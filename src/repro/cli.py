@@ -9,7 +9,6 @@ Commands
 ``table2``        regenerate the model-comparison table
 ``demo``          classify one freshly generated phishing page
 ``report``        render a telemetry report (live campaign or saved JSON)
-``serve-bench``   benchmark the repro.serve verdict-serving subsystem
 
 Every command accepts ``--seed``; campaign/table output can be exported
 with ``--export-dir`` (which also writes ``telemetry.json``).
@@ -179,59 +178,6 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_serve_bench(args: argparse.Namespace) -> int:
-    import json
-
-    from .serve.bench import run_serve_bench, smoke_parameters
-
-    parameters = dict(
-        seed=args.seed,
-        n_sites_per_class=args.sites_per_class,
-        n_minutes=args.minutes,
-        requests_per_minute=args.requests_per_minute,
-        max_batch_size=args.max_batch_size,
-        max_queue_depth=args.max_queue_depth,
-        max_batches_per_tick=args.max_batches_per_tick,
-        mode=args.mode,
-        include_telemetry=bool(args.export_dir),
-    )
-    if args.smoke:
-        for name, value in smoke_parameters().items():
-            parameters[name] = value
-    payload = run_serve_bench(**parameters)
-
-    served = payload["served"]
-    cache = payload["cache"]
-    print(f"requests           {payload['workload']['n_requests']}")
-    print(f"baseline           {payload['baseline']['requests_per_second']:.0f} req/s "
-          f"(single-URL classify_page)")
-    print(f"served             {served['requests_per_second']:.0f} req/s "
-          f"({payload['speedup_vs_single_url']:.1f}x)")
-    for tier, rate in cache["hit_rate"].items():
-        print(f"cache hit {tier:<9}{rate * 100:5.1f}%")
-    print(f"degraded fraction  "
-          f"{payload['admission']['degraded_fraction'] * 100:.1f}%")
-    print(f"mean batch size    {payload['batching']['mean_batch_size']:.1f}")
-    feature_cache = payload["feature_cache"]
-    print(f"feature cache      {feature_cache['hit_rate'] * 100:5.1f}% hit "
-          f"({feature_cache['hits']} hits / {feature_cache['misses']} misses)")
-
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    telemetry = payload.pop("telemetry", None)
-    out.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-    print(f"\nwrote {out}")
-    if args.export_dir and telemetry is not None:
-        export = Path(args.export_dir)
-        export.mkdir(parents=True, exist_ok=True)
-        telemetry_path = export / "telemetry.json"
-        telemetry_path.write_text(
-            json.dumps(telemetry, sort_keys=True, indent=2) + "\n"
-        )
-        print(f"wrote {telemetry_path}")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro", description="FreePhish reproduction CLI"
@@ -289,30 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("--verbose", action="store_true")
     report.set_defaults(func=_cmd_report)
 
-    serve_bench = sub.add_parser(
-        "serve-bench",
-        help="benchmark the repro.serve subsystem and write BENCH_serve.json",
-    )
-    serve_bench.add_argument("--sites-per-class", type=int, default=60)
-    serve_bench.add_argument("--minutes", type=int, default=120)
-    serve_bench.add_argument("--requests-per-minute", type=float, default=60.0)
-    serve_bench.add_argument("--max-batch-size", type=int, default=32)
-    serve_bench.add_argument("--max-queue-depth", type=int, default=256)
-    serve_bench.add_argument("--max-batches-per-tick", type=int, default=4)
-    serve_bench.add_argument(
-        "--mode", choices=("wall", "sim"), default="wall",
-        help="wall profiles real seconds; sim keeps telemetry seed-pure",
-    )
-    serve_bench.add_argument(
-        "--smoke", action="store_true",
-        help="small CI-sized run (overrides the sizing flags)",
-    )
-    serve_bench.add_argument("--out", type=str, default="BENCH_serve.json")
-    serve_bench.add_argument(
-        "--export-dir", type=str, default="",
-        help="also write the run's telemetry.json here",
-    )
-    serve_bench.set_defaults(func=_cmd_serve_bench)
     return parser
 
 

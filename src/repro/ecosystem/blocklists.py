@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..config import SeedBank, _stable_hash
+from ..config import SeedBank
 from ..errors import ConfigError
 from ..obs.instrument import NULL_INSTRUMENTATION, Instrumentation
 from ..simnet.url import URL
@@ -77,7 +77,7 @@ class Blocklist:
         self.name = name
         self.behavior = behavior
         self.intel_service = intel_service
-        self._seed = seed
+        self._seeds = SeedBank(seed)
         #: url -> listing time (absolute minutes), None = never lists.
         self._listing_time: Dict[str, Optional[int]] = {}
         self._entries: List[BlocklistEntry] = []
@@ -88,11 +88,6 @@ class Blocklist:
         self._c_listed = instr.counter(f"blocklist.{name}.listed")
 
     # -- verdicts -------------------------------------------------------------
-
-    def _url_rng(self, url_text: str) -> np.random.Generator:
-        return np.random.default_rng(
-            np.random.SeedSequence([self._seed, _stable_hash(url_text)])
-        )
 
     def observe(self, url: URL, now: int) -> None:
         """Tell the blocklist a URL exists (first sighting in the wild).
@@ -119,7 +114,7 @@ class Blocklist:
         if intel.indexed:
             probability += behavior.index_bonus * score
         probability = min(probability, 0.98)
-        rng = self._url_rng(key)
+        rng = self._seeds.fresh(key)
         if rng.random() >= probability:
             self._listing_time[key] = None
             return

@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..config import SeedBank, _stable_hash
+from ..config import SeedBank
 from ..errors import ConfigError
 from .intel import DEFAULT_WEIGHTS, UrlIntel, suspicion_score
 
@@ -73,18 +73,13 @@ class DetectionEngine:
             key: value * float(1.0 + archetype.weight_jitter * rng.normal())
             for key, value in DEFAULT_WEIGHTS.items()
         }
-        self._seed = int(rng.integers(0, 2 ** 63 - 1))
+        self._seeds = SeedBank(int(rng.integers(0, 2 ** 63 - 1)))
         self._verdicts: Dict[str, Tuple[bool, Optional[int]]] = {}
 
     @property
     def seed(self) -> int:
         """The engine's own seed; with a URL's hash it seeds each verdict."""
-        return self._seed
-
-    def _url_rng(self, url_text: str) -> np.random.Generator:
-        return np.random.default_rng(
-            np.random.SeedSequence([self._seed, _stable_hash(url_text)])
-        )
+        return self._seeds.seed
 
     def evaluate(self, intel: UrlIntel, first_seen: int) -> Tuple[bool, Optional[int]]:
         """(detects, detection_time) for a URL first observed at ``first_seen``.
@@ -95,7 +90,7 @@ class DetectionEngine:
         key = str(intel.url)
         if key in self._verdicts:
             return self._verdicts[key]
-        rng = self._url_rng(key)
+        rng = self._seeds.fresh(key)
         score = suspicion_score(intel, self.weights) * self.archetype.sensitivity
         margin = score - self.archetype.threshold
         # Smooth probability around the threshold: engines near their

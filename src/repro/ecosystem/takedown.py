@@ -21,7 +21,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from ..config import _stable_hash
+from ..config import SeedBank
 from ..obs.instrument import NULL_INSTRUMENTATION, Instrumentation
 from ..simnet.fwb import ReportResponsiveness
 from ..simnet.hosting import FWBHostingProvider, SelfHostingProvider
@@ -163,7 +163,7 @@ class RegistrarDesk:
         self.provider = provider
         self.web = web
         self.intel_service = intel_service
-        self._seed = seed
+        self._seeds = SeedBank(seed)
         self._decisions: Dict[str, Optional[int]] = {}
         self._pending: List[tuple] = []
         instr = (
@@ -179,9 +179,7 @@ class RegistrarDesk:
             return
         self._c_observed.inc()
         score = self.intel_service.suspicion(url, now)
-        rng = np.random.default_rng(
-            np.random.SeedSequence([self._seed, _stable_hash(key)])
-        )
+        rng = self._seeds.fresh(key)
         probability = REGISTRAR_REACH * max(score, 0.0) ** REGISTRAR_GAMMA
         if rng.random() >= probability:
             self._decisions[key] = None

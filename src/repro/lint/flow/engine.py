@@ -25,7 +25,7 @@ from .taint import (
     check_hardcoded_seed_args,
     check_rng_provenance,
     check_simnet_purity,
-    check_transitive_wall_clock,
+    check_transitive_wall_time,
 )
 
 #: Directory names never scanned (mirrors the per-file pass).
@@ -106,7 +106,7 @@ class FlowEngine:
         report = LintReport(files_checked=0)
         enabled = set(self.enabled)
         if "RP105" in enabled:
-            for finding in check_transitive_wall_clock(ctx):
+            for finding in check_transitive_wall_time(ctx):
                 report.add(finding)
         if "RP210" in enabled:
             for finding in check_simnet_purity(ctx):

@@ -68,7 +68,7 @@ class CallSite:
     line: int
     col: int
     #: Receiver chain, e.g. ``["self", "cache", "get"]`` or
-    #: ``["run_serve_bench"]``; resolution happens against the project
+    #: ``["build_ground_truth"]``; resolution happens against the project
     #: symbol index.
     chain: List[str]
     #: Classified positional arguments (see :func:`classify_value`).

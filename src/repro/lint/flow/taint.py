@@ -158,7 +158,7 @@ def _in_simnet(func_qual: str) -> bool:
     return "simnet" in func_qual.split(".")
 
 
-def check_transitive_wall_clock(ctx: FlowContext) -> List[Finding]:
+def check_transitive_wall_time(ctx: FlowContext) -> List[Finding]:
     """RP105: no library call chain may reach a wall-clock read."""
     sources, pre_suppressed = _collect_sources(ctx, "RP105", "wall_sources")
     result = propagate(ctx.graph, sources, ctx.suppression_for("RP105"))

@@ -7,8 +7,7 @@ provides it:
 
 * :class:`MetricsRegistry` — counters, gauges, and streaming histograms
   (p50/p90/p99 without storing samples);
-* :class:`Tracer` — nested spans keyed on the simulation clock by
-  default, with an explicit wall-clock profiling mode for benchmarks;
+* :class:`Tracer` — nested spans keyed on the simulation clock;
 * :class:`EventLog` — structured events replacing ad-hoc prints
   (reprolint RP203 now forbids ``print`` in library code);
 * :class:`Instrumentation` — the facade threaded through
@@ -16,7 +15,7 @@ provides it:
   :data:`NULL_INSTRUMENTATION` as the allocation-free opt-out.
 
 See ``docs/OBSERVABILITY.md`` for the metric/span catalogue and the
-wall-clock-mode policy.
+wall-clock policy.
 """
 
 from .events import ConsoleSink, Event, EventLog, render_event
@@ -28,7 +27,7 @@ from .export import (
 )
 from .instrument import NULL_INSTRUMENTATION, Instrumentation, NullInstrumentation
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
-from .tracing import SimClock, SpanRecord, Tracer, wall_clock
+from .tracing import SimClock, SpanRecord, Tracer
 
 __all__ = [
     "ConsoleSink",
@@ -49,5 +48,4 @@ __all__ = [
     "SimClock",
     "SpanRecord",
     "Tracer",
-    "wall_clock",
 ]

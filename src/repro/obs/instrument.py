@@ -9,10 +9,8 @@ three.
 
 Two implementations share the surface:
 
-* :class:`Instrumentation` — the real thing, in ``"sim"`` mode
-  (deterministic, spans keyed on simulation minutes) or ``"wall"`` mode
-  (:meth:`Instrumentation.profiling`, spans keyed on
-  ``time.perf_counter`` for benchmark stage timings);
+* :class:`Instrumentation` — the real thing: deterministic, with spans
+  keyed on simulation minutes;
 * :class:`NullInstrumentation` — every operation is a no-op returning a
   shared singleton, so the uninstrumented hot path costs one attribute
   lookup and allocates nothing. Use the module-level
@@ -24,36 +22,23 @@ from __future__ import annotations
 import json
 from typing import Dict, Iterable, List, Optional
 
-from ..errors import ObservabilityError
 from .events import Event, EventLog
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry, Number
-from .tracing import SimClock, SpanRecord, Tracer, wall_clock
-
-#: Recognised operating modes for the real implementation.
-_MODES = ("sim", "wall")
+from .tracing import SimClock, SpanRecord, Tracer
 
 
 class Instrumentation:
     """Live metrics + tracing + events for one instrumented run."""
 
     enabled = True
+    #: Spans are keyed on the simulation clock; exports record it.
+    mode = "sim"
 
-    def __init__(self, mode: str = "sim") -> None:
-        if mode not in _MODES:
-            raise ObservabilityError(
-                f"unknown instrumentation mode {mode!r}; expected one of {_MODES}"
-            )
-        self.mode = mode
+    def __init__(self) -> None:
         self.metrics = MetricsRegistry()
         self._sim_clock = SimClock()
-        clock = self._sim_clock if mode == "sim" else wall_clock()  # reprolint: disable=RP105 — wall mode is an explicit profiling opt-in; sim mode never reads the clock
-        self.tracer = Tracer(clock=clock, registry=self.metrics)
+        self.tracer = Tracer(clock=self._sim_clock, registry=self.metrics)
         self.events = EventLog()
-
-    @classmethod
-    def profiling(cls) -> "Instrumentation":
-        """Wall-clock mode: span durations are real seconds (benchmarks)."""
-        return cls(mode="wall")
 
     # -- simulation time ------------------------------------------------------
 
@@ -63,7 +48,7 @@ class Instrumentation:
         return self._sim_clock.now
 
     def set_time(self, now: float) -> None:
-        """Advance the simulation clock (events and sim-mode spans use it)."""
+        """Advance the simulation clock (events and spans use it)."""
         self._sim_clock.now = now
 
     # -- metric conveniences --------------------------------------------------
@@ -99,8 +84,8 @@ class Instrumentation:
                   include_spans: bool = False) -> dict:
         """Full snapshot as a JSON-ready dict.
 
-        In ``"sim"`` mode the snapshot is a pure function of the seed:
-        two same-seed campaigns serialize byte-identically.
+        The snapshot is a pure function of the seed: two same-seed
+        campaigns serialize byte-identically.
         """
         events: dict = {
             "emitted": self.events.n_emitted,
@@ -276,9 +261,9 @@ class NullInstrumentation(Instrumentation):
     """
 
     enabled = False
+    mode = "null"
 
     def __init__(self) -> None:
-        self.mode = "null"
         self.metrics = _NullMetricsRegistry()
         self.tracer = _NullTracer()
         self.events = _NullEventLog()

@@ -3,11 +3,8 @@
 The default clock is the **simulation clock** — integer minutes advanced
 by :meth:`repro.obs.instrument.Instrumentation.set_time` — so span
 records are a pure function of the seed and serialize byte-identically
-across same-seed runs. An optional **wall-clock profiling mode**
-(:func:`wall_clock`) swaps in ``time.perf_counter`` for real stage
-timings; it is an explicit opt-in used by the benchmark harness and is
-the only sanctioned wall-clock read in the library (see
-``docs/OBSERVABILITY.md`` for the policy).
+across same-seed runs. Real-time measurement happens outside the
+library, in perfbench (see ``docs/OBSERVABILITY.md`` for the policy).
 
 Every finished span feeds its duration into a ``span.<name>`` histogram
 of the attached :class:`~repro.obs.metrics.MetricsRegistry`, so stage
@@ -38,13 +35,6 @@ class SimClock:
 
     def __call__(self) -> float:
         return self.now
-
-
-def wall_clock() -> Callable[[], float]:
-    """Return a monotonic wall-clock reader for profiling mode."""
-    from time import perf_counter  # reprolint: disable=RP101 — wall-clock profiling is an explicit opt-in (benchmarks only); sim-time telemetry never reads it
-
-    return perf_counter
 
 
 @dataclass(frozen=True)

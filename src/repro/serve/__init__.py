@@ -11,10 +11,10 @@ Wraps the core detection pipeline (``Preprocessor`` +
   a URL-features-only degraded fast path instead of dropping requests;
 * :mod:`repro.serve.service` — :class:`VerdictService`, the layered
   request path the :class:`~repro.core.extension.FreePhishExtension`
-  routes through;
-* :mod:`repro.serve.workload` — seeded Zipf + diurnal synthetic
-  navigation traffic;
-* :mod:`repro.serve.bench` — the shared ``serve-bench`` runner.
+  routes through.
+
+perfbench (``perfbench/``, workloads ``serve_hot`` and ``serve_cold``)
+is the only harness that times this subsystem.
 
 See ``docs/SERVING.md`` for tier semantics, invalidation rules, and the
 determinism policy.
@@ -22,10 +22,8 @@ determinism policy.
 
 from .admission import AdmissionController, AdmissionDecision, FastPathModel
 from .batching import BatchVerdict, MicroBatcher, PendingRequest
-from .bench import run_serve_bench, smoke_parameters
 from .cache import CacheHit, TieredVerdictCache, cache_key, domain_key
 from .service import ServedFrom, ServedVerdict, VerdictService
-from .workload import NavigationWorkload
 
 __all__ = [
     "AdmissionController",
@@ -34,7 +32,6 @@ __all__ = [
     "CacheHit",
     "FastPathModel",
     "MicroBatcher",
-    "NavigationWorkload",
     "PendingRequest",
     "ServedFrom",
     "ServedVerdict",
@@ -42,6 +39,4 @@ __all__ = [
     "VerdictService",
     "cache_key",
     "domain_key",
-    "run_serve_bench",
-    "smoke_parameters",
 ]

@@ -16,10 +16,7 @@ duplicate URLs in a batch are scored once and fanned back out to every
 waiting request.
 
 Determinism: flush order is a pure function of arrival order and batch
-configuration. The batcher never reads the wall clock for control flow
-(reprolint RP101); real seconds are *measured* only when the attached
-instrumentation is in ``"wall"`` (profiling) mode, and even then they only
-shape benchmark output, never verdicts.
+configuration. The batcher never reads the wall clock (reprolint RP101).
 """
 
 from __future__ import annotations
@@ -33,7 +30,6 @@ from ..core.extension import NavigationVerdict
 from ..core.preprocess import Preprocessor
 from ..errors import ConfigError
 from ..obs.instrument import NULL_INSTRUMENTATION, Instrumentation
-from ..obs.tracing import wall_clock
 from ..simnet.url import URL
 from .cache import cache_key
 
@@ -86,9 +82,6 @@ class MicroBatcher:
         self._h_batch_size = self._instr.histogram("serve.batch.size")
         self._c_flushes = self._instr.counter("serve.batch.flushes")
         self._c_dedup = self._instr.counter("serve.batch.dedup_saved")
-        # Real seconds are only measured under profiling instrumentation;
-        # in sim mode the clock is never read, keeping telemetry seed-pure.
-        self._wall = wall_clock() if self._instr.mode == "wall" else None  # reprolint: disable=RP105 — guarded by the profiling opt-in; sim mode never reads the clock
 
     # -- queue ----------------------------------------------------------------
 
@@ -137,15 +130,8 @@ class MicroBatcher:
             unique.setdefault(request.key, request.url)
         self._c_dedup.inc(len(batch) - len(unique))
 
-        started = self._wall() if self._wall is not None else 0.0
         with self._instr.span("serve.batch.classify"):
             outcomes = self._score_unique(unique, now)
-        if self._wall is not None:
-            elapsed = self._wall() - started
-            self._instr.observe("serve.batch.wall_seconds", elapsed)
-            per_request = elapsed / len(batch)
-            for _ in batch:
-                self._instr.observe("serve.request.wall_seconds", per_request)
 
         return [
             BatchVerdict(
@@ -167,13 +153,8 @@ class MicroBatcher:
         path, so sync and batched verdicts for the same page agree.
         """
         key = cache_key(url)
-        started = self._wall() if self._wall is not None else 0.0
         with self._instr.span("serve.single.classify"):
             verdict, probability = self._score_unique({key: url}, now)[key]
-        if self._wall is not None:
-            self._instr.observe(
-                "serve.request.wall_seconds", self._wall() - started
-            )
         return BatchVerdict(
             url=url, key=key, verdict=verdict,
             probability=probability, queued_minutes=0,

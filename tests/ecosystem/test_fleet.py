@@ -118,7 +118,7 @@ class TestEngineFleet:
         """Seeds below 2**32 (and 0) make one-word seed entropy in some lanes."""
         engines = default_engine_fleet(SeedBank(8))
         for engine, seed in zip(engines[::10], [0, 1, 12345, 2 ** 32 - 1, 2 ** 32, 77, 9, 3]):
-            engine._seed = seed
+            engine._seeds = SeedBank(seed)
         compiled = EngineFleet(engines)
         assert sorted(set(compiled._seed_lengths.tolist())) == [1, 2]
         hot = dict(domain_age_days=2.0, cheap_tld=True, has_credential_form=True,

@@ -2,10 +2,7 @@
 
 import json
 
-import pytest
-
 from repro.config import SimulationConfig
-from repro.errors import ObservabilityError
 from repro.obs import (
     NULL_INSTRUMENTATION,
     Instrumentation,
@@ -40,18 +37,6 @@ class TestInstrumentationFacade:
         instr.set_time(720)
         event = instr.emit("campaign.day", day=0)
         assert event.time == 720
-
-    def test_profiling_mode_measures_wall_time(self):
-        instr = Instrumentation.profiling()
-        assert instr.mode == "wall"
-        with instr.span("stage"):
-            sum(range(10_000))
-        record, = instr.tracer.spans("stage")
-        assert record.duration > 0
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ObservabilityError):
-            Instrumentation(mode="cpu")
 
     def test_telemetry_shape(self):
         instr = Instrumentation()

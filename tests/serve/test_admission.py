@@ -24,7 +24,7 @@ class TestAdmissionController:
         assert controller.admit(5) is AdmissionDecision.DEGRADE
 
     def test_decisions_counted_and_depth_gauged(self):
-        instr = Instrumentation(mode="sim")
+        instr = Instrumentation()
         controller = AdmissionController(max_queue_depth=1, instrumentation=instr)
         controller.admit(0)
         controller.admit(7)

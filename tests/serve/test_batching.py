@@ -57,7 +57,7 @@ class TestScoring:
 
     def test_duplicate_urls_scored_once(self, web, trained_classifier,
                                         phishing_generator, rng):
-        instr = Instrumentation(mode="sim")
+        instr = Instrumentation()
         batcher = MicroBatcher(
             Preprocessor(web), trained_classifier,
             max_batch_size=8, instrumentation=instr,

@@ -81,7 +81,7 @@ class TestTiers:
 
 class TestInvalidation:
     def test_blocklist_ingest_purges_stale_allow(self):
-        instr = Instrumentation(mode="sim")
+        instr = Instrumentation()
         cache = TieredVerdictCache(instrumentation=instr)
         url = parse_url("https://fresh-scam.weebly.com/")
         cache.store(url, NavigationVerdict.ALLOWED, now=0)
@@ -97,7 +97,7 @@ class TestInvalidation:
         assert cache.invalidate_blocked("https://unseen.weebly.com/") == 0
 
     def test_takedown_purges_stale_block_for_whole_host(self):
-        instr = Instrumentation(mode="sim")
+        instr = Instrumentation()
         cache = TieredVerdictCache(instrumentation=instr)
         login = parse_url("https://scam.weebly.com/login")
         verify = parse_url("https://scam.weebly.com/verify")
@@ -122,7 +122,7 @@ class TestInvalidation:
 
 class TestMetrics:
     def test_per_tier_hit_counters(self):
-        instr = Instrumentation(mode="sim")
+        instr = Instrumentation()
         cache = TieredVerdictCache(instrumentation=instr)
         url = parse_url("https://scam.weebly.com/login")
         cache.lookup(url, now=0)  # miss

@@ -1,14 +1,22 @@
 """VerdictService: layering, provenance tags, overload, invalidation hooks."""
 
+import importlib.util
 import json
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+from repro.core.classifier import FreePhishClassifier
 from repro.core.extension import NavigationVerdict
+from repro.ml import RandomForestClassifier
 from repro.obs.instrument import Instrumentation
-from repro.serve.bench import run_serve_bench
+from repro.serve.admission import FastPathModel
 from repro.serve.service import ServedFrom, VerdictService
+from repro.sim import build_ground_truth
 from repro.simnet.url import parse_url
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
 @pytest.fixture()
@@ -94,7 +102,7 @@ class TestBatchedPath:
 class TestOverload:
     def test_sheds_to_degraded_instead_of_erroring(self, web, trained_classifier,
                                                    phishing_generator, rng):
-        instr = Instrumentation(mode="sim")
+        instr = Instrumentation()
         service = VerdictService(
             web, trained_classifier,
             max_queue_depth=4, max_batches_per_tick=0,  # model starved
@@ -140,26 +148,64 @@ class TestInvalidationHooks:
         assert service.cache.lookup(url, now=1) is None
 
 
+def _served_telemetry():
+    """Replay 20 minutes of seeded traffic through submit/pump/drain.
+
+    A four-slot queue drained one batch per minute overflows, so both the
+    admitted and the degraded fast path serve requests.
+    """
+    seed = 11
+    dataset = build_ground_truth(n_per_class=10, seed=seed)
+    classifier = FreePhishClassifier(
+        model=RandomForestClassifier(n_estimators=10, random_state=seed)
+    )
+    classifier.fit_pages(dataset.pages, dataset.labels)
+    population = [page.url for page in dataset.pages]
+    fast_path = FastPathModel().fit_urls(population, dataset.labels)
+    instr = Instrumentation()
+    service = VerdictService(
+        dataset.web, classifier, fast_path=fast_path,
+        max_queue_depth=4, max_batches_per_tick=1, instrumentation=instr,
+    )
+    rng = np.random.default_rng(seed)
+    minutes = 20
+    for minute in range(minutes):
+        instr.set_time(minute)
+        for index in rng.integers(len(population), size=12):
+            service.submit(population[index], minute)
+        service.pump(minute)
+    service.drain(minutes)
+    return json.dumps(
+        instr.telemetry(include_events=False), sort_keys=True, indent=2
+    )
+
+
+def _load_validator():
+    path = REPO_ROOT / "scripts" / "validate_telemetry.py"
+    spec = importlib.util.spec_from_file_location("validate_telemetry", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def served_telemetry():
+    return _served_telemetry()
+
+
 class TestDeterminism:
-    def test_same_seed_serve_runs_byte_identical_telemetry(self):
-        def run():
-            payload = run_serve_bench(
-                seed=11, n_sites_per_class=10, n_minutes=20,
-                requests_per_minute=12.0, baseline_requests=5,
-                mode="sim", include_telemetry=True,
-            )
-            return json.dumps(payload["telemetry"], sort_keys=True, indent=2)
+    def test_same_seed_serve_runs_byte_identical_telemetry(
+        self, served_telemetry
+    ):
+        assert _served_telemetry() == served_telemetry
 
-        assert run() == run()
-
-    def test_bench_payload_reports_required_sections(self):
-        payload = run_serve_bench(
-            seed=11, n_sites_per_class=10, n_minutes=15,
-            requests_per_minute=10.0, baseline_requests=5, mode="sim",
+    def test_served_telemetry_passes_validators(self, served_telemetry):
+        document = json.loads(served_telemetry)
+        assert document["metrics"]["counters"]["serve.admission.degraded"] > 0
+        validator = _load_validator()
+        schema = json.loads(
+            (REPO_ROOT / "docs" / "telemetry.schema.json").read_text()
         )
-        assert payload["schema"] == "repro.serve/bench.v1"
-        assert set(payload["cache"]["hit_rate"]) == {
-            "exact", "domain", "negative",
-        }
-        assert 0.0 <= payload["admission"]["degraded_fraction"] <= 1.0
-        assert payload["workload"]["n_requests"] > 0
+        assert validator.validate(document, schema) == []
+        assert validator.serve_consistency(document) == []
+        assert validator.cache_consistency(document) == []
