@@ -27,6 +27,7 @@ telemetry:
 	PYTHONPATH=src python -m repro campaign --days 1 --target 60 \
 		--train-samples 80 --export-dir telemetry-out
 	python scripts/validate_telemetry.py telemetry-out/telemetry.json
+	PYTHONPATH=src python -m repro report --telemetry-file telemetry-out/telemetry.json
 
 examples:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python examples/quickstart.py

@@ -59,7 +59,7 @@ def test_classifier_inference_rate(benchmark, pipeline_world):
 def test_campaign_run_null_instrumentation(benchmark):
     """End-to-end campaign with observability opted out entirely.
 
-    The null Instrumentation collapses every metric/span/event hook to a
+    The null Instrumentation collapses every metric/event hook to a
     shared no-op singleton; this bench pins the uninstrumented pipeline's
     runtime so instrumentation overhead regressions are caught.
     """

@@ -31,7 +31,6 @@ from .obs import (
     MetricsRegistry,
     NULL_INSTRUMENTATION,
     NullInstrumentation,
-    Tracer,
     render_telemetry,
     write_telemetry_json,
 )
@@ -57,7 +56,6 @@ __all__ = [
     "MetricsRegistry",
     "NULL_INSTRUMENTATION",
     "NullInstrumentation",
-    "Tracer",
     "render_telemetry",
     "write_telemetry_json",
     "FreePhishClassifier",

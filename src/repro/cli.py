@@ -219,11 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
         "a telemetry.json written by campaign --export-dir)"
     )
     report.add_argument(
-        "--telemetry", action="store_true",
-        help="render the telemetry section (currently the only section, "
-        "so this is the default)",
-    )
-    report.add_argument(
         "--telemetry-file", type=str, default="",
         help="render a saved telemetry export instead of running a campaign",
     )

@@ -5,20 +5,20 @@ snapshot and featurize every new URL, classify, report the positives to the
 hosting service and the platform, and enrol them in longitudinal
 monitoring. ``run`` drives the cycle across a time window.
 
-Every stage is traced through the :mod:`repro.obs` instrumentation layer:
-``framework.step`` wraps one cycle, with nested ``framework.poll`` /
-``framework.preprocess`` / ``framework.classify`` / ``framework.report``
-spans, and the run counters live in the shared
-:class:`~repro.obs.metrics.MetricsRegistry` (``framework.*``).
+Every stage writes ``framework.*`` and ``classify.batch.*`` counters to
+the :mod:`repro.obs` instrumentation layer. Telemetry is output-only: the
+results a caller reads (``detections``, ``observations``) are held here,
+so a framework wired to :data:`~repro.obs.NULL_INSTRUMENTATION` returns
+the same results as a live one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from ..config import STREAM_INTERVAL_MINUTES
-from ..obs.instrument import Instrumentation
+from ..obs.instrument import NULL_INSTRUMENTATION, Instrumentation
 from ..simnet.web import Web
 from .classifier import FreePhishClassifier
 from .monitor import AnalysisModule
@@ -35,61 +35,6 @@ class DetectionRecord:
     page: ProcessedPage
     probability: float
     detected_at: int
-
-
-class FrameworkStats:
-    """Run counters — a live, read-only view over the metrics registry.
-
-    The six ad-hoc integer fields this class used to hold were folded
-    into the ``framework.*`` counters of the shared
-    :class:`~repro.obs.metrics.MetricsRegistry`; the attribute surface is
-    unchanged, so ``framework.stats.detections`` keeps working. A
-    framework wired to :data:`~repro.obs.NULL_INSTRUMENTATION` counts
-    nothing, so this view reads zero there.
-    """
-
-    __slots__ = ("_metrics",)
-
-    def __init__(self, metrics) -> None:
-        self._metrics = metrics
-
-    @property
-    def polls(self) -> int:
-        return self._metrics.counter("framework.polls").value
-
-    @property
-    def observations(self) -> int:
-        return self._metrics.counter("framework.observations").value
-
-    @property
-    def fwb_observations(self) -> int:
-        return self._metrics.counter("framework.fwb_observations").value
-
-    @property
-    def unreachable(self) -> int:
-        return self._metrics.counter("framework.unreachable").value
-
-    @property
-    def detections(self) -> int:
-        return self._metrics.counter("framework.detections").value
-
-    @property
-    def reports_filed(self) -> int:
-        return self._metrics.counter("framework.reports_filed").value
-
-    def as_dict(self) -> Dict[str, int]:
-        return {
-            "polls": self.polls,
-            "observations": self.observations,
-            "fwb_observations": self.fwb_observations,
-            "unreachable": self.unreachable,
-            "detections": self.detections,
-            "reports_filed": self.reports_filed,
-        }
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        body = ", ".join(f"{k}={v}" for k, v in self.as_dict().items())
-        return f"FrameworkStats({body})"
 
 
 class FreePhish:
@@ -116,10 +61,10 @@ class FreePhish:
         self.analysis = analysis
         self.fwb_only = fwb_only
         self.detections: List[DetectionRecord] = []
-        # A standalone framework gets its own live instrumentation so the
-        # stats view counts; CampaignWorld passes its shared object in.
+        #: Stream observations polled across every cycle.
+        self.observations = 0
         self.instr = (
-            instrumentation if instrumentation is not None else Instrumentation()
+            instrumentation if instrumentation is not None else NULL_INSTRUMENTATION
         )
         metrics = self.instr.metrics
         self._c_polls = metrics.counter("framework.polls")
@@ -131,7 +76,6 @@ class FreePhish:
         self._c_batch_calls = metrics.counter("classify.batch.calls")
         self._c_batch_rows = metrics.counter("classify.batch.rows")
         self._h_batch_size = self.instr.histogram("classify.batch.size")
-        self.stats = FrameworkStats(metrics)
 
     def step(self, now: int) -> List[DetectionRecord]:
         """One polling cycle at time ``now``; returns fresh detections.
@@ -147,61 +91,57 @@ class FreePhish:
         instr = self.instr
         instr.set_time(now)
         fresh: List[DetectionRecord] = []
-        with instr.span("framework.step"):
-            with instr.span("framework.poll"):
-                observations = self.streaming.poll(now)
-            self._c_polls.inc()
-            self._c_observations.inc(len(observations))
+        observations = self.streaming.poll(now)
+        self.observations += len(observations)
+        self._c_polls.inc()
+        self._c_observations.inc(len(observations))
 
-            eligible = []
-            for observation in observations:
-                if observation.is_fwb:
-                    self._c_fwb_observations.inc()
-                elif self.fwb_only:
-                    continue
-                eligible.append(observation)
+        eligible = []
+        for observation in observations:
+            if observation.is_fwb:
+                self._c_fwb_observations.inc()
+            elif self.fwb_only:
+                continue
+            eligible.append(observation)
 
-            pages: List[ProcessedPage] = []
-            kept: List[StreamObservation] = []
-            with instr.span("framework.preprocess"):
-                for observation in eligible:
-                    page = self.preprocessor.process(observation.url, now)
-                    if page is None:
-                        self._c_unreachable.inc()
-                        continue
-                    pages.append(page)
-                    kept.append(observation)
+        pages: List[ProcessedPage] = []
+        kept: List[StreamObservation] = []
+        for observation in eligible:
+            page = self.preprocessor.process(observation.url, now)
+            if page is None:
+                self._c_unreachable.inc()
+                continue
+            pages.append(page)
+            kept.append(observation)
 
-            with instr.span("framework.classify"):
-                predictions = self.classifier.classify_pages(pages)
-                if pages:
-                    self._c_batch_calls.inc()
-                    self._c_batch_rows.inc(len(pages))
-                    self._h_batch_size.observe(len(pages))
+        predictions = self.classifier.classify_pages(pages)
+        if pages:
+            self._c_batch_calls.inc()
+            self._c_batch_rows.inc(len(pages))
+            self._h_batch_size.observe(len(pages))
 
-            for observation, page, prediction in zip(kept, pages, predictions):
-                if prediction.label != 1:
-                    continue
-                record = DetectionRecord(
-                    observation=observation,
-                    page=page,
-                    probability=prediction.probability,
-                    detected_at=now,
-                )
-                self.detections.append(record)
-                fresh.append(record)
-                self._c_detections.inc()
-                instr.emit(
-                    "framework.detection",
-                    url=str(observation.url),
-                    platform=observation.platform,
-                    fwb=observation.fwb_name,
-                    probability=round(float(prediction.probability), 6),
-                )
-                with instr.span("framework.report"):
-                    self.reporting.report(observation, page, now)
-                self._c_reports_filed.inc()
-                self.analysis.track(observation)
+        for observation, page, prediction in zip(kept, pages, predictions):
+            if prediction.label != 1:
+                continue
+            record = DetectionRecord(
+                observation=observation,
+                page=page,
+                probability=prediction.probability,
+                detected_at=now,
+            )
+            self.detections.append(record)
+            fresh.append(record)
+            self._c_detections.inc()
+            instr.emit(
+                "framework.detection",
+                url=str(observation.url),
+                platform=observation.platform,
+                fwb=observation.fwb_name,
+                probability=round(float(prediction.probability), 6),
+            )
+            self.reporting.report(observation, page, now)
+            self._c_reports_filed.inc()
+            self.analysis.track(observation)
         return fresh
 
     def run(self, start: int, end: int,

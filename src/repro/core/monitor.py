@@ -187,11 +187,10 @@ class AnalysisModule:
     ) -> List[UrlTimeline]:
         """Resolve timelines for every tracked URL."""
         timelines = []
-        with self.instr.span("monitor.resolve_all"):
-            for observation in self._tracked:
-                label = True if truth is None else truth.get(str(observation.url), True)
-                timelines.append(
-                    self.resolve(observation, label, site_horizon_minutes)
-                )
-            self._c_resolved.inc(len(timelines))
+        for observation in self._tracked:
+            label = True if truth is None else truth.get(str(observation.url), True)
+            timelines.append(
+                self.resolve(observation, label, site_horizon_minutes)
+            )
+        self._c_resolved.inc(len(timelines))
         return timelines

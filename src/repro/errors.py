@@ -72,4 +72,4 @@ class SimulationError(ReproError):
 
 
 class ObservabilityError(ReproError):
-    """Misuse of the metrics/tracing/event instrumentation layer."""
+    """Misuse of the metrics/event instrumentation layer."""

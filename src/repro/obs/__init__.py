@@ -1,4 +1,4 @@
-"""Deterministic observability: metrics, tracing spans, structured events.
+"""Deterministic observability: metrics and structured events.
 
 The paper's model-selection argument (§4.2) is about *runtime* — a median
 2.8 s classification keeps FreePhish real-time — so the reproduction
@@ -7,27 +7,27 @@ provides it:
 
 * :class:`MetricsRegistry` — counters, gauges, and streaming histograms
   (p50/p90/p99 without storing samples);
-* :class:`Tracer` — nested spans keyed on the simulation clock;
 * :class:`EventLog` — structured events replacing ad-hoc prints
   (reprolint RP203 now forbids ``print`` in library code);
 * :class:`Instrumentation` — the facade threaded through
   :class:`~repro.sim.world.CampaignWorld`, with
   :data:`NULL_INSTRUMENTATION` as the allocation-free opt-out.
 
-See ``docs/OBSERVABILITY.md`` for the metric/span catalogue and the
-wall-clock policy.
+The channel is output-only: nothing the simulation returns is read back
+from it, so a run wired to :data:`NULL_INSTRUMENTATION` returns the same
+results as a live one. See ``docs/OBSERVABILITY.md`` for the metric and
+event catalogue and the wall-clock policy.
 """
 
 from .events import ConsoleSink, Event, EventLog, render_event
-from .export import (
+from .export import load_telemetry, render_telemetry, write_telemetry_json
+from .instrument import (
+    NULL_INSTRUMENTATION,
     TELEMETRY_SCHEMA_ID,
-    load_telemetry,
-    render_telemetry,
-    write_telemetry_json,
+    Instrumentation,
+    NullInstrumentation,
 )
-from .instrument import NULL_INSTRUMENTATION, Instrumentation, NullInstrumentation
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
-from .tracing import SimClock, SpanRecord, Tracer
 
 __all__ = [
     "ConsoleSink",
@@ -45,7 +45,4 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "SimClock",
-    "SpanRecord",
-    "Tracer",
 ]

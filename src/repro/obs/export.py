@@ -3,7 +3,7 @@
 The JSON form is the interchange format — written by
 ``python -m repro campaign --export-dir`` and the benchmark harness,
 validated in CI against ``docs/telemetry.schema.json``. The text form is
-the human view behind ``python -m repro report --telemetry``.
+the human view behind ``python -m repro report``.
 """
 
 from __future__ import annotations
@@ -16,22 +16,16 @@ from .instrument import Instrumentation
 
 PathLike = Union[str, Path]
 
-#: Identifier every v1 telemetry document carries in its ``schema`` key.
-TELEMETRY_SCHEMA_ID = "repro.obs/telemetry.v1"
-
 
 def write_telemetry_json(
     instrumentation: Instrumentation,
     path: PathLike,
     include_events: bool = True,
-    include_spans: bool = False,
 ) -> Path:
     """Serialize a telemetry snapshot to ``path``; returns the path."""
     path = Path(path)
     path.write_text(
-        instrumentation.telemetry_json(
-            include_events=include_events, include_spans=include_spans
-        ),
+        instrumentation.telemetry_json(include_events=include_events),
         encoding="utf-8",
     )
     return path
@@ -112,11 +106,4 @@ def render_telemetry(snapshot: dict) -> str:
             lines.append(f"{kind:<{width}}  {by_kind[kind]}")
     else:
         lines.append("(none)")
-
-    spans = snapshot.get("spans", {})
-    lines.append("")
-    lines.append(
-        f"spans: started={spans.get('started', 0)} "
-        f"finished={spans.get('finished', 0)}"
-    )
     return "\n".join(lines)

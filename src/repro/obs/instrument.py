@@ -1,16 +1,16 @@
 """The :class:`Instrumentation` facade threaded through the pipeline.
 
-One object bundles the three observability channels — a
-:class:`~repro.obs.metrics.MetricsRegistry`, a
-:class:`~repro.obs.tracing.Tracer`, and an
+One object bundles the two observability channels — a
+:class:`~repro.obs.metrics.MetricsRegistry` and an
 :class:`~repro.obs.events.EventLog` — plus the current simulation time,
 so instrumented components take a single optional parameter instead of
-three.
+two. The facade is output-only: components write to it and never read a
+result back.
 
 Two implementations share the surface:
 
-* :class:`Instrumentation` — the real thing: deterministic, with spans
-  keyed on simulation minutes;
+* :class:`Instrumentation` — the real thing: deterministic, with events
+  stamped in simulation minutes;
 * :class:`NullInstrumentation` — every operation is a no-op returning a
   shared singleton, so the uninstrumented hot path costs one attribute
   lookup and allocates nothing. Use the module-level
@@ -24,32 +24,26 @@ from typing import Dict, Iterable, List, Optional
 
 from .events import Event, EventLog
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry, Number
-from .tracing import SimClock, SpanRecord, Tracer
+
+#: Identifier every telemetry document carries in its ``schema`` key.
+TELEMETRY_SCHEMA_ID = "repro.obs/telemetry.v2"
 
 
 class Instrumentation:
-    """Live metrics + tracing + events for one instrumented run."""
+    """Live metrics + events for one instrumented run."""
 
-    enabled = True
-    #: Spans are keyed on the simulation clock; exports record it.
+    #: Event times are simulation minutes; exports record it.
     mode = "sim"
 
     def __init__(self) -> None:
         self.metrics = MetricsRegistry()
-        self._sim_clock = SimClock()
-        self.tracer = Tracer(clock=self._sim_clock, registry=self.metrics)
         self.events = EventLog()
-
-    # -- simulation time ------------------------------------------------------
-
-    @property
-    def now(self) -> float:
-        """Current simulation time in minutes."""
-        return self._sim_clock.now
+        #: Current simulation time in minutes (stamped on every event).
+        self.now = 0.0
 
     def set_time(self, now: float) -> None:
-        """Advance the simulation clock (events and spans use it)."""
-        self._sim_clock.now = now
+        """Advance the simulation clock that events are stamped with."""
+        self.now = now
 
     # -- metric conveniences --------------------------------------------------
 
@@ -68,20 +62,15 @@ class Instrumentation:
     def observe(self, name: str, value: Number) -> None:
         self.metrics.histogram(name).observe(value)
 
-    # -- spans & events -------------------------------------------------------
-
-    def span(self, name: str):
-        """Context manager timing a nested stage."""
-        return self.tracer.span(name)
+    # -- events ---------------------------------------------------------------
 
     def emit(self, kind: str, **fields) -> Optional[Event]:
         """Emit a structured event stamped with the simulation time."""
-        return self.events.emit(kind, self._sim_clock.now, **fields)
+        return self.events.emit(kind, self.now, **fields)
 
     # -- export ---------------------------------------------------------------
 
-    def telemetry(self, include_events: bool = True,
-                  include_spans: bool = False) -> dict:
+    def telemetry(self, include_events: bool = True) -> dict:
         """Full snapshot as a JSON-ready dict.
 
         The snapshot is a pure function of the seed: two same-seed
@@ -93,36 +82,17 @@ class Instrumentation:
         }
         if include_events:
             events["items"] = [event.to_dict() for event in self.events.events()]
-        spans: dict = {
-            "started": self.tracer.n_started,
-            "finished": self.tracer.n_finished,
-        }
-        if include_spans:
-            spans["items"] = [
-                {
-                    "name": record.name,
-                    "index": record.index,
-                    "parent": record.parent,
-                    "depth": record.depth,
-                    "start": record.start,
-                    "end": record.end,
-                }
-                for record in self.tracer.spans()
-            ]
         return {
-            "schema": "repro.obs/telemetry.v1",
+            "schema": TELEMETRY_SCHEMA_ID,
             "mode": self.mode,
             "metrics": self.metrics.snapshot(),
             "events": events,
-            "spans": spans,
         }
 
-    def telemetry_json(self, include_events: bool = True,
-                       include_spans: bool = False) -> str:
+    def telemetry_json(self, include_events: bool = True) -> str:
         """Canonical JSON serialization (sorted keys, 2-space indent)."""
         return json.dumps(
-            self.telemetry(include_events=include_events,
-                           include_spans=include_spans),
+            self.telemetry(include_events=include_events),
             sort_keys=True, indent=2,
         ) + "\n"
 
@@ -202,32 +172,6 @@ class _NullMetricsRegistry:
         return 0
 
 
-class _NullSpan:
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullSpan":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        pass
-
-
-_NULL_SPAN = _NullSpan()
-
-
-class _NullTracer:
-    __slots__ = ()
-    n_started = 0
-    n_finished = 0
-    active_depth = 0
-
-    def span(self, name: str) -> _NullSpan:
-        return _NULL_SPAN
-
-    def spans(self, name: Optional[str] = None) -> List[SpanRecord]:
-        return []
-
-
 class _NullEventLog:
     __slots__ = ()
     n_emitted = 0
@@ -254,23 +198,17 @@ class _NullEventLog:
 class NullInstrumentation(Instrumentation):
     """Allocation-free no-op implementation of the facade surface.
 
-    Every accessor returns a shared singleton; ``span`` hands back one
-    reusable no-op context manager, so the uninstrumented pipeline path
-    performs no per-call allocation. Prefer the module-level
+    Every accessor returns a shared singleton, so the uninstrumented
+    pipeline path performs no per-call allocation. Prefer the module-level
     :data:`NULL_INSTRUMENTATION` over constructing instances.
     """
 
-    enabled = False
     mode = "null"
+    now = 0.0
 
     def __init__(self) -> None:
         self.metrics = _NullMetricsRegistry()
-        self.tracer = _NullTracer()
         self.events = _NullEventLog()
-
-    @property
-    def now(self) -> float:
-        return 0.0
 
     def set_time(self, now: float) -> None:
         pass
@@ -290,27 +228,8 @@ class NullInstrumentation(Instrumentation):
     def observe(self, name: str, value: Number) -> None:
         pass
 
-    def span(self, name: str) -> _NullSpan:
-        return _NULL_SPAN
-
     def emit(self, kind: str, **fields) -> None:
         return None
-
-    def telemetry(self, include_events: bool = True,
-                  include_spans: bool = False) -> dict:
-        events: dict = {"emitted": 0, "by_kind": {}}
-        if include_events:
-            events["items"] = []
-        spans: dict = {"started": 0, "finished": 0}
-        if include_spans:
-            spans["items"] = []
-        return {
-            "schema": "repro.obs/telemetry.v1",
-            "mode": "null",
-            "metrics": self.metrics.snapshot(),
-            "events": events,
-            "spans": spans,
-        }
 
 
 #: Shared no-op instance: the default for every instrumented component.

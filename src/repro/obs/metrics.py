@@ -76,7 +76,8 @@ class Histogram:
     statistic. Memory is O(occupied buckets), never O(samples).
 
     Values at or below ``min_value`` (including exact zeros, common for
-    simulation-time spans inside one tick) share a dedicated zero bucket.
+    latencies served inside one simulated minute) share a dedicated zero
+    bucket.
     """
 
     __slots__ = (
@@ -176,7 +177,7 @@ class MetricsRegistry:
     """Name-keyed store of all metrics produced by one instrumented run.
 
     Metric names are flat dotted strings (``"framework.detections"``,
-    ``"span.framework.classify"``). Accessors are get-or-create, and a
+    ``"classify.batch.size"``). Accessors are get-or-create, and a
     name registered as one kind can never be re-registered as another.
     """
 

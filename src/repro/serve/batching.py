@@ -130,8 +130,7 @@ class MicroBatcher:
             unique.setdefault(request.key, request.url)
         self._c_dedup.inc(len(batch) - len(unique))
 
-        with self._instr.span("serve.batch.classify"):
-            outcomes = self._score_unique(unique, now)
+        outcomes = self._score_unique(unique, now)
 
         return [
             BatchVerdict(
@@ -153,8 +152,7 @@ class MicroBatcher:
         path, so sync and batched verdicts for the same page agree.
         """
         key = cache_key(url)
-        with self._instr.span("serve.single.classify"):
-            verdict, probability = self._score_unique({key: url}, now)[key]
+        verdict, probability = self._score_unique({key: url}, now)[key]
         return BatchVerdict(
             url=url, key=key, verdict=verdict,
             probability=probability, queued_minutes=0,

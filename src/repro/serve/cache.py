@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Optional, Set, Tuple, Union
+from typing import Callable, Dict, Optional, Set, Tuple, Union
 
 from ..core.extension import NavigationVerdict
 from ..obs.instrument import NULL_INSTRUMENTATION, Instrumentation
@@ -86,13 +86,19 @@ class CacheHit:
 
 
 class _LruTtlTier:
-    """One cache tier: ordered dict with LRU eviction and per-entry TTL."""
+    """One cache tier: ordered dict with LRU eviction and per-entry TTL.
 
-    def __init__(self, name: str, capacity: int, ttl_minutes: int) -> None:
+    ``on_drop`` is called with every key that leaves the tier, whether by
+    TTL expiry, LRU eviction or :meth:`evict`.
+    """
+
+    def __init__(self, name: str, capacity: int, ttl_minutes: int,
+                 on_drop: Optional[Callable[[str], None]] = None) -> None:
         self.name = name
         self.capacity = capacity
         self.ttl_minutes = ttl_minutes
         self._entries: "OrderedDict[str, Tuple[NavigationVerdict, int]]" = OrderedDict()
+        self._on_drop = on_drop
         self.n_expired = 0
         self.n_evicted = 0
 
@@ -104,6 +110,7 @@ class _LruTtlTier:
         if now - stored_at >= self.ttl_minutes:
             del self._entries[key]
             self.n_expired += 1
+            self._dropped(key)
             return None
         self._entries.move_to_end(key)
         return verdict
@@ -113,12 +120,20 @@ class _LruTtlTier:
             self._entries.move_to_end(key)
         self._entries[key] = (verdict, now)
         while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
+            evicted, _ = self._entries.popitem(last=False)
             self.n_evicted += 1
+            self._dropped(evicted)
 
     def evict(self, key: str) -> Optional[NavigationVerdict]:
         entry = self._entries.pop(key, None)
-        return None if entry is None else entry[0]
+        if entry is None:
+            return None
+        self._dropped(key)
+        return entry[0]
+
+    def _dropped(self, key: str) -> None:
+        if self._on_drop is not None:
+            self._on_drop(key)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -132,12 +147,15 @@ class TieredVerdictCache:
 
     def __init__(self, instrumentation: Optional[Instrumentation] = None) -> None:
         instr = instrumentation if instrumentation is not None else NULL_INSTRUMENTATION
-        self.exact = _LruTtlTier(TIER_EXACT, EXACT_CAPACITY, EXACT_TTL_MINUTES)
+        self.exact = _LruTtlTier(
+            TIER_EXACT, EXACT_CAPACITY, EXACT_TTL_MINUTES, self._unindex
+        )
         self.domain = _LruTtlTier(TIER_DOMAIN, DOMAIN_CAPACITY, DOMAIN_TTL_MINUTES)
         self.negative = _LruTtlTier(
-            TIER_NEGATIVE, NEGATIVE_CAPACITY, NEGATIVE_TTL_MINUTES
+            TIER_NEGATIVE, NEGATIVE_CAPACITY, NEGATIVE_TTL_MINUTES, self._unindex
         )
-        #: host → exact/negative keys stored for it (invalidation index).
+        #: host → keys the exact or negative tier holds for it (invalidation
+        #: index); a key leaves it with the last of those tiers to drop it.
         self._host_keys: Dict[str, Set[str]] = {}
         self._c_hit = {
             TIER_EXACT: instr.counter(f"serve.cache.hit.{TIER_EXACT}"),
@@ -223,6 +241,18 @@ class TieredVerdictCache:
         self._c_stale_block.inc(stale)
         self._c_invalidations.inc()
         return stale
+
+    def _unindex(self, key: str) -> None:
+        """Drop ``key`` from the host index once neither URL tier holds it."""
+        if key in self.exact or key in self.negative:
+            return
+        host = domain_key(key)
+        keys = self._host_keys.get(host)
+        if keys is None:
+            return
+        keys.discard(key)
+        if not keys:
+            del self._host_keys[host]
 
     # -- introspection --------------------------------------------------------
 

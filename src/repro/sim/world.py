@@ -167,8 +167,7 @@ class CampaignWorld:
             n_per_class=self.train_samples_per_class,
             seed=self.rng_factory.child_seed("world.ground_truth"),
         )
-        with self.instr.span("campaign.train"):
-            self.classifier.fit_pages(dataset.pages, dataset.labels)
+        self.classifier.fit_pages(dataset.pages, dataset.labels)
         self._ground_truth = dataset
         self.instr.emit("campaign.trained", samples=len(dataset))
         return dataset
@@ -234,8 +233,8 @@ class CampaignWorld:
                 self.instr.emit(
                     "campaign.day",
                     day=now // (24 * 60),
-                    detections=self.framework.stats.detections,
-                    observations=self.framework.stats.observations,
+                    detections=len(self.framework.detections),
+                    observations=self.framework.observations,
                     tracked=self.analysis.n_tracked,
                 )
         # Let every scheduled action (takedowns, moderation) play out across
@@ -244,22 +243,21 @@ class CampaignWorld:
         self.instr.set_time(horizon)
         self._housekeeping(horizon)
 
-        with self.instr.span("campaign.resolve"):
-            timelines = self.analysis.resolve_all(
-                truth=self.truth,
-                site_horizon_minutes=self.config.takedown_window_minutes,
-            )
+        timelines = self.analysis.resolve_all(
+            truth=self.truth,
+            site_horizon_minutes=self.config.takedown_window_minutes,
+        )
         self.instr.emit(
             "campaign.finished",
-            detections=self.framework.stats.detections,
-            observations=self.framework.stats.observations,
+            detections=len(self.framework.detections),
+            observations=self.framework.observations,
             timelines=len(timelines),
         )
         return CampaignResult(
             config=self.config,
             timelines=timelines,
-            detections=self.framework.stats.detections,
-            observations=self.framework.stats.observations,
+            detections=len(self.framework.detections),
+            observations=self.framework.observations,
             ground_truth_size=0 if self._ground_truth is None else len(self._ground_truth),
         )
 

@@ -240,7 +240,8 @@ class TestFrameworkBatching:
         assert [(str(r.observation.url), r.probability) for r in fresh] == expected
         assert reporting.reported == [(url, 10) for url, _ in expected]
         assert analysis.tracked == [url for url, _ in expected]
-        assert framework.stats.detections == len(expected)
+        assert len(framework.detections) == len(expected)
+        assert framework.observations == len(observations)
 
     def test_batch_counters(
         self, web, phishing_generator, benign_generator, rng, ground_truth
@@ -254,12 +255,13 @@ class TestFrameworkBatching:
             model=RandomForestClassifier(n_estimators=15, random_state=11)
         )
         classifier.fit_pages(ground_truth.pages, ground_truth.labels)
+        instr = Instrumentation()
         framework = FreePhish(
             web, _StubStreaming(observations), Preprocessor(web), classifier,
-            _StubReporting(), _StubAnalysis(),
+            _StubReporting(), _StubAnalysis(), instrumentation=instr,
         )
         framework.step(now=10)
-        counters = framework.instr.metrics.snapshot()["counters"]
+        counters = instr.metrics.snapshot()["counters"]
         assert counters["classify.batch.calls"] == 1
         assert counters["classify.batch.rows"] == len(observations)
 

@@ -64,11 +64,13 @@ class TestTimelines:
 class TestFrameworkStats:
     def test_detection_counts_consistent(self, campaign_world_and_result):
         world, result = campaign_world_and_result
-        stats = world.framework.stats
-        assert stats.detections == len(world.framework.detections)
-        assert stats.reports_filed == stats.detections
-        assert stats.observations >= stats.detections
-        assert result.detections == stats.detections
+        counters = world.instr.metrics.snapshot()["counters"]
+        assert result.detections == len(world.framework.detections)
+        assert counters["framework.detections"] == result.detections
+        assert counters["framework.reports_filed"] == result.detections
+        assert result.observations == world.framework.observations
+        assert counters["framework.observations"] == result.observations
+        assert result.observations >= result.detections
 
     def test_detected_urls_unique(self, campaign_world_and_result):
         world, _result = campaign_world_and_result

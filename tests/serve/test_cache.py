@@ -4,6 +4,7 @@ from repro.core.extension import NavigationVerdict
 from repro.obs.instrument import Instrumentation
 from repro.serve import cache as cache_module
 from repro.serve.cache import (
+    EXACT_TTL_MINUTES,
     NEGATIVE_TTL_MINUTES,
     TIER_DOMAIN,
     TIER_EXACT,
@@ -91,6 +92,7 @@ class TestInvalidation:
         counters = instr.metrics.snapshot()["counters"]
         assert counters["serve.cache.stale_allow"] == 1
         assert counters["serve.cache.stale_block"] == 0
+        assert cache._host_keys == {}
 
     def test_blocklist_ingest_of_uncached_url_counts_nothing(self):
         cache = TieredVerdictCache()
@@ -118,6 +120,62 @@ class TestInvalidation:
         cache.store(url, NavigationVerdict.ALLOWED, now=0)
         assert cache.invalidate_takedown(url) == 0
         assert cache.lookup(url, now=1) is None
+
+
+def indexed_keys(cache):
+    return sum(len(keys) for keys in cache._host_keys.values())
+
+
+class TestHostIndex:
+    """The host index holds only keys the exact or negative tier holds."""
+
+    def test_lru_overflow_prunes_the_index(self, monkeypatch):
+        monkeypatch.setattr(cache_module, "NEGATIVE_CAPACITY", 10)
+        cache = TieredVerdictCache()
+        for i in range(1000):
+            url = parse_url(f"https://s{i % 40}.weebly.com/p{i}")
+            cache.store(url, NavigationVerdict.ALLOWED, now=i)
+            assert indexed_keys(cache) <= len(cache.exact) + len(cache.negative)
+        assert len(cache.negative) == 10
+        assert indexed_keys(cache) == 10
+        # Hosts whose every key was evicted leave the index entirely.
+        assert len(cache._host_keys) == 10
+
+    def test_ttl_expiry_prunes_the_index(self):
+        cache = TieredVerdictCache()
+        urls = [parse_url(f"https://shop{i}.wixsite.com/") for i in range(5)]
+        for url in urls:
+            cache.store(url, NavigationVerdict.ALLOWED, now=0)
+        for url in urls[:3]:
+            assert cache.lookup(url, now=NEGATIVE_TTL_MINUTES) is None
+        assert indexed_keys(cache) == 2
+        assert indexed_keys(cache) <= len(cache.exact) + len(cache.negative)
+        assert sorted(cache._host_keys) == ["shop3.wixsite.com", "shop4.wixsite.com"]
+
+    def test_key_in_both_url_tiers_stays_until_the_last_drops_it(self):
+        cache = TieredVerdictCache()
+        url = parse_url("https://turned.weebly.com/login")
+        cache.store(url, NavigationVerdict.ALLOWED, now=0)
+        cache.store(url, NavigationVerdict.BLOCKED_CLASSIFIER, now=0)
+        key = cache_key(url)
+        assert cache.negative.get(key, now=NEGATIVE_TTL_MINUTES) is None
+        assert cache._host_keys == {"turned.weebly.com": {key}}
+        assert cache.exact.get(key, now=EXACT_TTL_MINUTES) is None
+        assert cache._host_keys == {}
+
+    def test_stale_block_counts_survive_pruning(self, monkeypatch):
+        monkeypatch.setattr(cache_module, "EXACT_CAPACITY", 2)
+        cache = TieredVerdictCache()
+        pages = [parse_url(f"https://scam.weebly.com/p{i}") for i in range(4)]
+        for page in pages:
+            cache.store(page, NavigationVerdict.BLOCKED_FEED, now=0)
+        # p0 and p1 were LRU-evicted; p2 expires on lookup (the domain
+        # tier, with its longer TTL, still answers for the host).
+        assert cache.lookup(pages[2], now=EXACT_TTL_MINUTES).tier == TIER_DOMAIN
+        assert indexed_keys(cache) == 1
+        # Domain entry + the one live exact entry (p3) are stale blocks.
+        assert cache.invalidate_takedown(pages[0]) == 2
+        assert cache._host_keys == {}
 
 
 class TestMetrics:

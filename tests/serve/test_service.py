@@ -209,3 +209,13 @@ class TestDeterminism:
         assert validator.validate(document, schema) == []
         assert validator.serve_consistency(document) == []
         assert validator.cache_consistency(document) == []
+
+    def test_validator_rejects_a_v1_spans_section(self, served_telemetry):
+        document = json.loads(served_telemetry)
+        document["spans"] = {"started": 0, "finished": 0}
+        schema = json.loads(
+            (REPO_ROOT / "docs" / "telemetry.schema.json").read_text()
+        )
+        assert _load_validator().validate(document, schema) == [
+            "$: unexpected key 'spans'"
+        ]
