@@ -130,20 +130,6 @@ def _evaluate_detector(
     )
 
 
-class _OurModelAdapter:
-    """Gives FreePhishClassifier the detector interface for Table 2."""
-
-    def __init__(self, **kwargs) -> None:
-        self.classifier = FreePhishClassifier(**kwargs)
-
-    def fit_pages(self, pages, labels):
-        self.classifier.fit_pages(pages, labels)
-        return self
-
-    def predict_page(self, page) -> int:
-        return self.classifier.classify_page(page).label
-
-
 def build_table2(
     pages: Sequence[ProcessedPage],
     labels: np.ndarray,
@@ -186,7 +172,7 @@ def build_table2(
         "stackmodel": lambda: BaseStackModelDetector(
             n_estimators=n_estimators, random_state=seed
         ),
-        "ours": lambda: _OurModelAdapter(
+        "ours": lambda: FreePhishClassifier(
             n_estimators=n_estimators, random_state=seed
         ),
     }

@@ -9,48 +9,11 @@ the paper's feature-augmentation contribution (0.88 → 0.97 accuracy).
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
-
-import numpy as np
-
+from ..core.classifier import FreePhishClassifier
 from ..core.features import BASE_FEATURE_NAMES
-from ..core.preprocess import ProcessedPage
-from ..errors import NotFittedError
-from ..ml import StackModel
 
 
-class BaseStackModelDetector:
+class BaseStackModelDetector(FreePhishClassifier):
     """Two-layer stacking on the pre-augmentation feature set."""
 
     feature_names = BASE_FEATURE_NAMES
-
-    def __init__(
-        self,
-        n_estimators: int = 60,
-        n_splits: int = 5,
-        random_state: Optional[int] = 7,
-    ) -> None:
-        self.model = StackModel(
-            n_estimators=n_estimators,
-            n_splits=n_splits,
-            random_state=random_state,
-        )
-        self._fitted = False
-
-    def fit_pages(
-        self, pages: Sequence[ProcessedPage], labels: Sequence[int]
-    ) -> "BaseStackModelDetector":
-        X = np.vstack([page.base_vector for page in pages])
-        self.model.fit(X, np.asarray(labels))
-        self._fitted = True
-        return self
-
-    def predict_page(self, page: ProcessedPage) -> int:
-        if not self._fitted:
-            raise NotFittedError("BaseStackModelDetector is not fitted")
-        probability = self.model.predict_proba(page.base_vector.reshape(1, -1))[0, 1]
-        return int(probability >= 0.5)
-
-    def predict_pages(self, pages: Sequence[ProcessedPage]) -> np.ndarray:
-        X = np.vstack([page.base_vector for page in pages])
-        return self.model.predict(X)

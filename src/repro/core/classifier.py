@@ -31,8 +31,18 @@ class TimedPrediction:
     runtime_seconds: float
 
 
+#: Probability at or above which a page is labelled phishing.
+PHISHING_THRESHOLD = 0.5
+
+
 class FreePhishClassifier:
-    """Augmented StackModel over the FWB feature set."""
+    """Augmented StackModel over the FWB feature set.
+
+    The feature view is the class attribute ``feature_names``: every
+    matrix this class builds from pages takes those columns, so a
+    subclass that sets another view is the same detector on other
+    features (:class:`repro.baselines.BaseStackModelDetector`).
+    """
 
     feature_names: Tuple[str, ...] = FWB_FEATURE_NAMES
 
@@ -41,7 +51,6 @@ class FreePhishClassifier:
         n_estimators: int = 60,
         n_splits: int = 5,
         random_state: Optional[int] = 7,
-        threshold: float = 0.5,
         model=None,
     ) -> None:
         """``model`` overrides the default StackModel with any estimator
@@ -52,8 +61,11 @@ class FreePhishClassifier:
             n_splits=n_splits,
             random_state=random_state,
         )
-        self.threshold = threshold
         self._fitted = False
+
+    def _matrix(self, pages: Sequence[ProcessedPage]) -> np.ndarray:
+        """One row per page, in ``feature_names`` order."""
+        return np.vstack([page.features.vector(self.feature_names) for page in pages])
 
     # -- training -------------------------------------------------------------
 
@@ -65,18 +77,23 @@ class FreePhishClassifier:
     def fit_pages(
         self, pages: Sequence[ProcessedPage], labels: Sequence[int]
     ) -> "FreePhishClassifier":
-        X = np.vstack([page.fwb_vector for page in pages])
-        return self.fit(X, np.asarray(labels))
+        return self.fit(self._matrix(pages), np.asarray(labels))
 
     # -- prediction -------------------------------------------------------------
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         if not self._fitted:
-            raise NotFittedError("FreePhishClassifier is not fitted")
+            raise NotFittedError(f"{type(self).__name__} is not fitted")
         return self.model.predict_proba(X)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        return (self.predict_proba(X)[:, 1] >= self.threshold).astype(np.int64)
+        return (self.predict_proba(X)[:, 1] >= PHISHING_THRESHOLD).astype(np.int64)
+
+    def predict_page(self, page: ProcessedPage) -> int:
+        return int(self.predict_pages([page])[0])
+
+    def predict_pages(self, pages: Sequence[ProcessedPage]) -> np.ndarray:
+        return self.predict(self._matrix(pages))
 
     def classify_page(self, page: ProcessedPage) -> TimedPrediction:
         """Classify one processed page, timing the inference."""
@@ -94,13 +111,13 @@ class FreePhishClassifier:
         if not pages:
             return []
         start = time.perf_counter()  # reprolint: disable=RP101,RP105 — runtime_seconds reports real inference latency
-        X = np.vstack([page.fwb_vector for page in pages])
+        X = self._matrix(pages)
         probabilities = self.predict_proba(X)[:, 1]
         elapsed = time.perf_counter() - start  # reprolint: disable=RP101,RP105 — runtime_seconds reports real inference latency
         per_page = elapsed / len(pages)
         return [
             TimedPrediction(
-                label=int(probability >= self.threshold),
+                label=int(probability >= PHISHING_THRESHOLD),
                 probability=float(probability),
                 runtime_seconds=per_page,
             )

@@ -3,7 +3,7 @@
 ``FreePhish.step`` executes one 10-minute cycle: poll both social streams,
 snapshot and featurize every new URL, classify, report the positives to the
 hosting service and the platform, and enrol them in longitudinal
-monitoring. ``run`` drives the cycle across a time window.
+monitoring. :class:`~repro.sim.world.CampaignWorld` drives the cycle.
 
 Every stage writes ``framework.*`` and ``classify.batch.*`` counters to
 the :mod:`repro.obs` instrumentation layer. Telemetry is output-only: the
@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-from ..config import STREAM_INTERVAL_MINUTES
 from ..obs.instrument import NULL_INSTRUMENTATION, Instrumentation
 from ..simnet.web import Web
 from .classifier import FreePhishClassifier
@@ -143,16 +142,6 @@ class FreePhish:
             self._c_reports_filed.inc()
             self.analysis.track(observation)
         return fresh
-
-    def run(self, start: int, end: int,
-            interval: int = STREAM_INTERVAL_MINUTES) -> List[DetectionRecord]:
-        """Run polling cycles over ``[start, end]``."""
-        all_fresh: List[DetectionRecord] = []
-        tick = start + interval
-        while tick <= end:
-            all_fresh.extend(self.step(tick))
-            tick += interval
-        return all_fresh
 
     def detected_urls(self) -> List[str]:
         return [str(record.observation.url) for record in self.detections]

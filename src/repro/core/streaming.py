@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from ..config import STREAM_INTERVAL_MINUTES
 from ..errors import StreamError
 from ..obs.instrument import NULL_INSTRUMENTATION, Instrumentation
 from ..simnet.url import URL
@@ -44,15 +43,11 @@ class StreamingModule:
         web: Web,
         twitter: TwitterAPI,
         crowdtangle: CrowdTangleAPI,
-        interval_minutes: int = STREAM_INTERVAL_MINUTES,
         instrumentation: Optional[Instrumentation] = None,
     ) -> None:
-        if interval_minutes <= 0:
-            raise StreamError("interval must be positive")
         self.web = web
         self.twitter = twitter
         self.crowdtangle = crowdtangle
-        self.interval_minutes = interval_minutes
         self._cursor: Optional[int] = None
         #: De-duplication across the whole run: each URL is handled once,
         #: at its first sighting.
@@ -93,15 +88,4 @@ class StreamingModule:
                     )
                 )
         self._cursor = now
-        return observations
-
-    def run_window(self, start: int, end: int) -> List[StreamObservation]:
-        """Poll repeatedly at the configured cadence over [start, end)."""
-        if self._cursor is None:
-            self._cursor = start
-        observations = []
-        tick = self._cursor + self.interval_minutes
-        while tick <= end:
-            observations.extend(self.poll(tick))
-            tick += self.interval_minutes
         return observations

@@ -151,67 +151,9 @@ def gather_intel(web: Web, pages: PageSource, url: URL, now: int) -> UrlIntel:
     return intel
 
 
-def suspicion_score(
-    intel: UrlIntel, weights: Optional[Dict[str, float]] = None
-) -> float:
-    """Fold intel signals into a suspicion score in [0, 1].
-
-    Unreachable URLs score 0 (nothing to analyse). The score is linear in
-    the weighted signals, shifted by a small base rate and clipped.
-    """
-    w = DEFAULT_WEIGHTS if weights is None else weights
-
-    def weight(name: str) -> float:
-        return w.get(name, 0.0)
-
-    if not intel.reachable:
-        return 0.0
-    score = 0.05  # base prior: the URL arrived via an abuse-prone channel
-    age = intel.domain_age_days
-    if age is not None:
-        if age < 30:
-            score += weight("fresh_domain")
-        elif age < 365:
-            score += weight("young_domain")
-        elif age > 5 * 365:
-            score += weight("old_domain_trust")
-    if intel.cheap_tld:
-        score += weight("cheap_tld")
-    if not intel.https:
-        score += weight("no_https")
-    if intel.cert_level is ValidationLevel.DV:
-        score += weight("dv_cert")
-    elif intel.cert_level in (ValidationLevel.OV, ValidationLevel.EV):
-        score += weight("ov_ev_cert_trust")
-    if intel.in_ct_log:
-        score += weight("in_ct_log")
-    if intel.indexed:
-        score += weight("indexed_trust")
-    if intel.has_credential_form:
-        score += weight("credential_form")
-    if intel.brand_title_mismatch:
-        score += weight("brand_title_mismatch")
-    score += weight("sensitive_url_words") * min(intel.sensitive_url_words, 3)
-    if intel.kit_markup:
-        score += weight("kit_markup")
-    if intel.malicious_download:
-        score += weight("malicious_download")
-    if intel.external_iframe:
-        score += weight("external_iframe")
-    if intel.linkout_button:
-        score += weight("linkout_button")
-    if intel.hidden_elements:
-        score += weight("hidden_elements")
-    # Soft saturation: additive evidence has diminishing returns, so a
-    # loaded kit lands around 0.8-0.9 rather than pinning the scale.
-    if score <= 0.0:
-        return 0.0
-    return float(1.0 - np.exp(-1.35 * score))
-
-
-#: Every weight ``suspicion_score`` reads, in the order it adds them. The
-#: age signals are alternatives, as are the two certificate signals, so the
-#: active signals of any URL appear here in exactly the score's order.
+#: The signals of the suspicion score, in the order ``suspicion_score``
+#: adds their weights. The age signals are alternatives, as are the two
+#: certificate signals.
 SIGNAL_ORDER = (
     "fresh_domain", "young_domain", "old_domain_trust", "cheap_tld",
     "no_https", "dv_cert", "ov_ev_cert_trust", "in_ct_log", "indexed_trust",
@@ -227,9 +169,8 @@ def signal_vector(intel: UrlIntel) -> Optional[List[float]]:
 
     1.0 for an active signal, 0.0 for an inactive one, and the capped word
     count for ``sensitive_url_words``; ``None`` for an unreachable URL,
-    which scores 0 under any weights. Starting from 0.05 and adding
-    ``weight * multiplier`` in ``SIGNAL_ORDER`` repeats the score's raw sum
-    bit for bit: inactive terms add a signed zero, which changes no sum.
+    which scores 0 under any weights. These are the only copy of the
+    suspicion rules: the score and the engine fleet both sum over them.
     """
     if not intel.reachable:
         return None
@@ -276,6 +217,30 @@ def signal_vector(intel: UrlIntel) -> Optional[List[float]]:
     return vector
 
 
+def suspicion_score(
+    intel: UrlIntel, weights: Optional[Dict[str, float]] = None
+) -> float:
+    """Fold intel signals into a suspicion score in [0, 1].
+
+    Unreachable URLs score 0 (nothing to analyse). The raw score is a base
+    rate of 0.05 plus ``weight * multiplier`` over :func:`signal_vector`,
+    added in ``SIGNAL_ORDER``; an inactive signal adds a signed zero, which
+    changes no sum. The raw score is then saturated into [0, 1].
+    """
+    signals = signal_vector(intel)
+    if signals is None:
+        return 0.0
+    w = DEFAULT_WEIGHTS if weights is None else weights
+    score = 0.05  # base prior: the URL arrived via an abuse-prone channel
+    for name, multiplier in zip(SIGNAL_ORDER, signals):
+        score += w.get(name, 0.0) * multiplier
+    # Soft saturation: additive evidence has diminishing returns, so a
+    # loaded kit lands around 0.8-0.9 rather than pinning the scale.
+    if score <= 0.0:
+        return 0.0
+    return float(1.0 - np.exp(-1.35 * score))
+
+
 #: Width of the time bucket intel is cached for: one simulated day.
 INTEL_BUCKET_MINUTES = 24 * 60
 
@@ -296,6 +261,5 @@ class IntelService:
             self._cache[key] = cached
         return cached
 
-    def suspicion(self, url: URL, now: int,
-                  weights: Optional[Dict[str, float]] = None) -> float:
-        return suspicion_score(self.intel_for(url, now), weights)
+    def suspicion(self, url: URL, now: int) -> float:
+        return suspicion_score(self.intel_for(url, now))

@@ -67,9 +67,5 @@ class ReportingError(ReproError):
     """A phishing report could not be filed."""
 
 
-class SimulationError(ReproError):
-    """The discrete-event simulation reached an inconsistent state."""
-
-
 class ObservabilityError(ReproError):
     """Misuse of the metrics/event instrumentation layer."""

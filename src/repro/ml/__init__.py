@@ -6,13 +6,17 @@ The paper's classification module (§4.2) stacks three boosted-tree learners
 provides those learners:
 
 * :mod:`repro.ml.tree` — CART regression/classification trees;
-* :mod:`repro.ml.boosting` — classic gradient-boosted trees (GBDT);
+* :mod:`repro.ml.boosting` — classic gradient-boosted trees (GBDT), and
+  ``BoostedTrees``, the predict surface all three boosters share;
 * :mod:`repro.ml.xgb` — second-order, regularized boosting (XGBoost-style);
 * :mod:`repro.ml.lgbm` — histogram-binned, leaf-wise boosting (LightGBM-style);
 * :mod:`repro.ml.forest` — random forests;
 * :mod:`repro.ml.stacking` — the two-layer StackModel;
 * :mod:`repro.ml.flat` — flattened, vectorized batch inference over any of
-  the tree ensembles above (bit-identical to the per-row reference walks);
+  the tree ensembles above (bit-identical to the per-row reference walks).
+  Every ensemble compiles its :class:`FlatForest` at the end of ``fit``,
+  and ``FlatForest.accumulate`` (boosters) and ``FlatForest.vote``
+  (forests) are the only code that sums tree outputs;
 * :mod:`repro.ml.metrics`, :mod:`repro.ml.crossval` — evaluation utilities.
 """
 

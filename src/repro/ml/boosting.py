@@ -5,6 +5,11 @@ regression tree to the negative gradient (residual ``y - p``) and the
 ensemble accumulates ``learning_rate``-scaled tree outputs in log-odds
 space. This is the "GBDT" member of the StackModel's learner trio and the
 final-layer combiner in Li et al.'s architecture.
+
+:class:`BoostedTrees` is the inference surface all three boosters share
+(GBDT here, :mod:`repro.ml.xgb` and :mod:`repro.ml.lgbm`): the estimators
+only fit, and compile their trees into a :class:`~repro.ml.flat.FlatForest`
+at the end of ``fit``.
 """
 
 from __future__ import annotations
@@ -14,15 +19,51 @@ from typing import List, Optional
 import numpy as np
 
 from ..errors import NotFittedError, TrainingError
-from .flat import FlatForest
+from .flat import FlatForest, sigmoid
 from .tree import DecisionTreeRegressor
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-np.clip(z, -35.0, 35.0)))
+class BoostedTrees:
+    """Prediction for a fitted boosted ensemble in log-odds space.
+
+    Subclasses set ``_trees`` (each with ``predict``), ``_base_score`` and
+    ``learning_rate``, and build ``_flat`` at the end of ``fit``;
+    ``_flat is None`` means "not fitted".
+    """
+
+    _flat: Optional[FlatForest] = None
+
+    def _tree_inputs(self, X: np.ndarray) -> np.ndarray:
+        """The matrix the trees split on, for a fitted model."""
+        if self._flat is None:
+            raise NotFittedError(f"{type(self).__name__} is not fitted")
+        return np.asarray(X, dtype=np.float64)
+
+    def decision_function(self, X: np.ndarray) -> np.ndarray:
+        inputs = self._tree_inputs(X)
+        return self._flat.accumulate(inputs, self._base_score, self.learning_rate)
+
+    def decision_function_reference(self, X: np.ndarray) -> np.ndarray:
+        """Per-row reference walk; bit-identical to :meth:`decision_function`."""
+        inputs = self._tree_inputs(X)
+        raw = np.full(inputs.shape[0], self._base_score)
+        for tree in self._trees:
+            raw += self.learning_rate * tree.predict(inputs)
+        return raw
+
+    def predict_proba(self, X: np.ndarray) -> np.ndarray:
+        p = sigmoid(self.decision_function(X))
+        return np.column_stack([1.0 - p, p])
+
+    def predict_proba_reference(self, X: np.ndarray) -> np.ndarray:
+        p = sigmoid(self.decision_function_reference(X))
+        return np.column_stack([1.0 - p, p])
+
+    def predict(self, X: np.ndarray) -> np.ndarray:
+        return (self.decision_function(X) >= 0.0).astype(np.int64)
 
 
-class GradientBoostingClassifier:
+class GradientBoostingClassifier(BoostedTrees):
     """Binary GBDT with logistic loss.
 
     Parameters mirror the conventional implementation: ``n_estimators``
@@ -66,8 +107,6 @@ class GradientBoostingClassifier:
         self.validation_fraction = validation_fraction
         self._trees: List[DecisionTreeRegressor] = []
         self._base_score = 0.0
-        self._n_features = 0
-        self._flat: Optional[FlatForest] = None
         #: Per-stage validation log-loss when early stopping is active.
         self.validation_curve: List[float] = []
 
@@ -78,8 +117,6 @@ class GradientBoostingClassifier:
             raise TrainingError("bad shapes for X/y")
         if not np.isin(np.unique(y), (0.0, 1.0)).all():
             raise TrainingError("GradientBoostingClassifier expects binary 0/1 labels")
-        self._n_features = X.shape[1]
-        self._flat = None
         rng = np.random.default_rng(self.random_state)
 
         validation_X = validation_y = None
@@ -97,6 +134,7 @@ class GradientBoostingClassifier:
         self._base_score = float(np.log(positive / (1.0 - positive)))
         raw = np.full(y.shape[0], self._base_score)
         self._trees = []
+        self._flat = None
         self.validation_curve = []
 
         validation_raw = (
@@ -109,7 +147,7 @@ class GradientBoostingClassifier:
         n = y.shape[0]
         sample_size = max(1, int(round(self.subsample * n)))
         for stage in range(self.n_estimators):
-            probabilities = _sigmoid(raw)
+            probabilities = sigmoid(raw)
             residual = y - probabilities
             if self.subsample < 1.0:
                 indices = rng.choice(n, size=sample_size, replace=False)
@@ -128,7 +166,7 @@ class GradientBoostingClassifier:
                 validation_raw = (
                     validation_raw + self.learning_rate * tree.predict(validation_X)
                 )
-                p = np.clip(_sigmoid(validation_raw), 1e-12, 1 - 1e-12)
+                p = np.clip(sigmoid(validation_raw), 1e-12, 1 - 1e-12)
                 loss = float(
                     -np.mean(validation_y * np.log(p)
                              + (1 - validation_y) * np.log(1 - p))
@@ -140,43 +178,10 @@ class GradientBoostingClassifier:
                 elif stage - best_stage >= self.early_stopping_rounds:
                     self._trees = self._trees[: best_stage + 1]
                     break
+        self._flat = FlatForest.from_trees(
+            [tree._root for tree in self._trees], n_features=X.shape[1]
+        )
         return self
-
-    def _compiled(self) -> FlatForest:
-        """The flattened ensemble, compiled lazily after ``fit``."""
-        if self._flat is None:
-            self._flat = FlatForest.from_trees(
-                [tree._root for tree in self._trees],
-                n_features=self._n_features,
-            )
-        return self._flat
-
-    def decision_function(self, X: np.ndarray) -> np.ndarray:
-        if not self._trees:
-            raise NotFittedError("GradientBoostingClassifier is not fitted")
-        X = np.asarray(X, dtype=np.float64)
-        return self._compiled().accumulate(X, self._base_score, self.learning_rate)
-
-    def decision_function_reference(self, X: np.ndarray) -> np.ndarray:
-        """Per-row reference walk; bit-identical to :meth:`decision_function`."""
-        if not self._trees:
-            raise NotFittedError("GradientBoostingClassifier is not fitted")
-        X = np.asarray(X, dtype=np.float64)
-        raw = np.full(X.shape[0], self._base_score)
-        for tree in self._trees:
-            raw += self.learning_rate * tree.predict(X)
-        return raw
-
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        p = _sigmoid(self.decision_function(X))
-        return np.column_stack([1.0 - p, p])
-
-    def predict_proba_reference(self, X: np.ndarray) -> np.ndarray:
-        p = _sigmoid(self.decision_function_reference(X))
-        return np.column_stack([1.0 - p, p])
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        return (self.decision_function(X) >= 0.0).astype(np.int64)
 
     @property
     def n_fitted_trees(self) -> int:

@@ -21,10 +21,11 @@ The flat path must be **bit-identical** to the per-row reference walk:
 * Comparisons are exactly the reference's ``x <= threshold``; a NaN feature
   value compares false and routes right, as the reference's boolean-mask
   partition does.
-* :meth:`FlatForest.leaf_values` returns the per-tree leaf-value matrix so
-  callers can reproduce the reference's *sequential* accumulation order
-  (``raw += lr * tree_t`` for t = 0, 1, ...) — never a pairwise
-  ``values.sum(axis=0)``, which would change floating-point results.
+* :meth:`FlatForest.accumulate` (boosters) and :meth:`FlatForest.vote`
+  (random forests) are the only places that sum tree outputs, and both
+  keep the reference's *sequential* order (``raw += lr * tree_t`` for
+  t = 0, 1, ...) — never a pairwise ``values.sum(axis=0)``, which would
+  change floating-point results.
 
 The compiler accepts any node shape used in this package: ``tree._Node``,
 ``xgb._XGBNode`` (``threshold``) and ``lgbm._Leaf`` (``threshold_bin``).
@@ -37,6 +38,11 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from ..errors import TrainingError
+
+
+def sigmoid(z: np.ndarray) -> np.ndarray:
+    """Logistic link of the boosters, clipped so ``exp`` cannot overflow."""
+    return 1.0 / (1.0 + np.exp(-np.clip(z, -35.0, 35.0)))
 
 
 def _node_threshold(node) -> float:
@@ -172,8 +178,8 @@ class FlatForest:
         """Per-tree leaf values for every row: shape ``(n_trees, n_rows)``.
 
         One vectorized level-order descent advances all rows of all trees
-        simultaneously. Callers accumulate the rows of the result in tree
-        order to match the reference implementations bit-for-bit.
+        simultaneously. :meth:`accumulate` and :meth:`vote` sum the rows of
+        the result in tree order to match the reference walks bit-for-bit.
         """
         X = np.asarray(X)
         if X.ndim != 2:
@@ -208,3 +214,17 @@ class FlatForest:
         for t in range(values.shape[0]):
             raw += learning_rate * values[t]
         return raw
+
+    def vote(self, X: np.ndarray) -> np.ndarray:
+        """Random-forest probabilities: the mean of per-tree ``[1-p, p]``.
+
+        Each tree's leaf value is clipped to ``[0, 1]`` and its two columns
+        are summed in tree order, bit-identical to summing the trees'
+        ``predict_proba`` outputs sequentially.
+        """
+        values = self.leaf_values(X)
+        accumulated = np.zeros((X.shape[0], 2), dtype=np.float64)
+        for t in range(values.shape[0]):
+            p = np.clip(values[t], 0.0, 1.0)
+            accumulated += np.column_stack([1.0 - p, p])
+        return accumulated / self.n_trees

@@ -36,7 +36,7 @@ class RandomForestClassifier:
         self.max_features = max_features
         self.random_state = random_state
         self._trees: List[DecisionTreeClassifier] = []
-        self._n_features = 0
+        #: Built at the end of ``fit``; ``None`` means "not fitted".
         self._flat: Optional[FlatForest] = None
 
     def _features_per_split(self, n_features: int) -> Optional[int]:
@@ -55,12 +55,11 @@ class RandomForestClassifier:
         y = np.asarray(y)
         if X.ndim != 2 or y.shape[0] != X.shape[0]:
             raise TrainingError("bad shapes for X/y")
-        self._n_features = X.shape[1]
-        self._flat = None
         rng = np.random.default_rng(self.random_state)
         max_features = self._features_per_split(X.shape[1])
         n = X.shape[0]
         self._trees = []
+        self._flat = None
         for i in range(self.n_estimators):
             indices = rng.integers(0, n, size=n)  # bootstrap sample
             tree = DecisionTreeClassifier(
@@ -71,33 +70,19 @@ class RandomForestClassifier:
             )
             tree.fit(X[indices], y[indices])
             self._trees.append(tree)
+        self._flat = FlatForest.from_trees(
+            [tree._tree._root for tree in self._trees], n_features=X.shape[1]
+        )
         return self
 
-    def _compiled(self) -> FlatForest:
-        """The flattened forest, compiled lazily after ``fit``."""
-        if self._flat is None:
-            self._flat = FlatForest.from_trees(
-                [tree._tree._root for tree in self._trees],
-                n_features=self._n_features,
-            )
-        return self._flat
-
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        if not self._trees:
+        if self._flat is None:
             raise NotFittedError("RandomForestClassifier is not fitted")
-        X = np.asarray(X, dtype=np.float64)
-        values = self._compiled().leaf_values(X)
-        accumulated = np.zeros((X.shape[0], 2), dtype=np.float64)
-        # Tree-order accumulation of the exact per-tree probability columns:
-        # bit-identical to summing tree.predict_proba outputs sequentially.
-        for t in range(values.shape[0]):
-            p = np.clip(values[t], 0.0, 1.0)
-            accumulated += np.column_stack([1.0 - p, p])
-        return accumulated / len(self._trees)
+        return self._flat.vote(np.asarray(X, dtype=np.float64))
 
     def predict_proba_reference(self, X: np.ndarray) -> np.ndarray:
         """Per-row reference walk; bit-identical to :meth:`predict_proba`."""
-        if not self._trees:
+        if self._flat is None:
             raise NotFittedError("RandomForestClassifier is not fitted")
         X = np.asarray(X, dtype=np.float64)
         accumulated = np.zeros((X.shape[0], 2), dtype=np.float64)

@@ -20,12 +20,9 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ..errors import NotFittedError, TrainingError
-from .flat import FlatForest
-
-
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-np.clip(z, -35.0, 35.0)))
+from ..errors import TrainingError
+from .boosting import BoostedTrees
+from .flat import FlatForest, sigmoid
 
 
 class _Binner:
@@ -182,7 +179,7 @@ class _LGBMTree:
             if not node.is_leaf:
                 stack.extend((node.left, node.right))
 
-    def predict_binned(self, binned: np.ndarray) -> np.ndarray:
+    def predict(self, binned: np.ndarray) -> np.ndarray:
         out = np.empty(binned.shape[0], dtype=np.float64)
         stack = [(self.root, np.arange(binned.shape[0]))]
         while stack:
@@ -198,7 +195,7 @@ class _LGBMTree:
         return out
 
 
-class LightGBMClassifier:
+class LightGBMClassifier(BoostedTrees):
     """Binary classifier with histogram-binned, leaf-wise boosting."""
 
     def __init__(
@@ -229,7 +226,6 @@ class LightGBMClassifier:
         self._binner: Optional[_Binner] = None
         self._trees: List[_LGBMTree] = []
         self._base_score = 0.0
-        self._flat: Optional[FlatForest] = None
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "LightGBMClassifier":
         X = np.asarray(X, dtype=np.float64)
@@ -239,15 +235,15 @@ class LightGBMClassifier:
         if not np.isin(np.unique(y), (0.0, 1.0)).all():
             raise TrainingError("LightGBMClassifier expects binary 0/1 labels")
 
-        self._flat = None
         self._binner = _Binner(self.max_bins).fit(X)
         binned = self._binner.transform(X)
         positive = min(max(float(y.mean()), 1e-6), 1 - 1e-6)
         self._base_score = float(np.log(positive / (1.0 - positive)))
         raw = np.full(y.shape[0], self._base_score)
         self._trees = []
+        self._flat = None
         for _ in range(self.n_estimators):
-            probabilities = _sigmoid(raw)
+            probabilities = sigmoid(raw)
             grad = probabilities - y
             hess = probabilities * (1.0 - probabilities)
             tree = _LGBMTree(
@@ -257,49 +253,15 @@ class LightGBMClassifier:
                 min_gain=self.min_gain,
             )
             tree.fit(binned, grad, hess)
-            raw = raw + self.learning_rate * tree.predict_binned(binned)
+            raw = raw + self.learning_rate * tree.predict(binned)
             self._trees.append(tree)
+        self._flat = FlatForest.from_trees(
+            [tree.root for tree in self._trees], n_features=X.shape[1]
+        )
         return self
 
-    def _compiled(self) -> FlatForest:
-        """The flattened ensemble over *binned* features, compiled lazily.
-
-        Thresholds are the trees' integer ``threshold_bin`` values; bin
-        indices are far below 2**53, so comparing them as float64 is exact.
-        """
-        if self._flat is None:
-            self._flat = FlatForest.from_trees(
-                [tree.root for tree in self._trees]
-            )
-        return self._flat
-
-    def decision_function(self, X: np.ndarray) -> np.ndarray:
-        if not self._trees or self._binner is None:
-            raise NotFittedError("LightGBMClassifier is not fitted")
-        X = np.asarray(X, dtype=np.float64)
-        binned = self._binner.transform(X)
-        return self._compiled().accumulate(
-            binned, self._base_score, self.learning_rate
-        )
-
-    def decision_function_reference(self, X: np.ndarray) -> np.ndarray:
-        """Per-row reference walk; bit-identical to :meth:`decision_function`."""
-        if not self._trees or self._binner is None:
-            raise NotFittedError("LightGBMClassifier is not fitted")
-        X = np.asarray(X, dtype=np.float64)
-        binned = self._binner.transform(X)
-        raw = np.full(X.shape[0], self._base_score)
-        for tree in self._trees:
-            raw += self.learning_rate * tree.predict_binned(binned)
-        return raw
-
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        p = _sigmoid(self.decision_function(X))
-        return np.column_stack([1.0 - p, p])
-
-    def predict_proba_reference(self, X: np.ndarray) -> np.ndarray:
-        p = _sigmoid(self.decision_function_reference(X))
-        return np.column_stack([1.0 - p, p])
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        return (self.decision_function(X) >= 0.0).astype(np.int64)
+    def _tree_inputs(self, X: np.ndarray) -> np.ndarray:
+        """Trees split on bin indices; thresholds are the integer
+        ``threshold_bin`` values, exact in float64."""
+        inputs = super()._tree_inputs(X)  # raises before the binner is read
+        return self._binner.transform(inputs)

@@ -105,39 +105,26 @@ class StackingClassifier:
         self._final_model.fit(current, y)
         return self
 
-    def _transform(self, X: np.ndarray) -> np.ndarray:
+    def _predict(self, X: np.ndarray, method: str) -> np.ndarray:
+        """Run ``method`` of every member through the layers and the final
+        model; ``method`` is ``"predict_proba"`` or its reference walk."""
+        if self._final_model is None:
+            raise NotFittedError("StackingClassifier is not fitted")
         current = np.asarray(X, dtype=np.float64)
         for models in self._layer_models:
-            predictions = [m.predict_proba(current)[:, 1] for m in models]
+            predictions = [getattr(m, method)(current)[:, 1] for m in models]
             current = self._augment(current, predictions)
-        return current
-
-    def _transform_reference(self, X: np.ndarray) -> np.ndarray:
-        """Layer transform using each member's per-row reference walk."""
-        current = np.asarray(X, dtype=np.float64)
-        for models in self._layer_models:
-            predictions = [
-                getattr(m, "predict_proba_reference", m.predict_proba)(current)[:, 1]
-                for m in models
-            ]
-            current = self._augment(current, predictions)
-        return current
+        return getattr(self._final_model, method)(current)
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         """Stacked probabilities; base models route through their flattened
         (vectorized) inference path — see :mod:`repro.ml.flat`."""
-        if self._final_model is None:
-            raise NotFittedError("StackingClassifier is not fitted")
-        return self._final_model.predict_proba(self._transform(X))
+        return self._predict(X, "predict_proba")
 
     def predict_proba_reference(self, X: np.ndarray) -> np.ndarray:
         """Stacked probabilities over the members' per-row reference walks;
         bit-identical to :meth:`predict_proba`."""
-        if self._final_model is None:
-            raise NotFittedError("StackingClassifier is not fitted")
-        final = self._final_model
-        proba = getattr(final, "predict_proba_reference", final.predict_proba)
-        return proba(self._transform_reference(X))
+        return self._predict(X, "predict_proba_reference")
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return (self.predict_proba(X)[:, 1] >= 0.5).astype(np.int64)

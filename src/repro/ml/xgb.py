@@ -16,12 +16,9 @@ from typing import List, Optional
 
 import numpy as np
 
-from ..errors import NotFittedError, TrainingError
-from .flat import FlatForest
-
-
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-np.clip(z, -35.0, 35.0)))
+from ..errors import TrainingError
+from .boosting import BoostedTrees
+from .flat import FlatForest, sigmoid
 
 
 @dataclass
@@ -135,7 +132,7 @@ class _XGBTree:
         return out
 
 
-class XGBoostClassifier:
+class XGBoostClassifier(BoostedTrees):
     """Binary classifier with XGBoost-style regularized boosting."""
 
     def __init__(
@@ -169,8 +166,6 @@ class XGBoostClassifier:
         self.random_state = random_state
         self._trees: List[_XGBTree] = []
         self._base_score = 0.0
-        self._n_features = 0
-        self._flat: Optional[FlatForest] = None
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "XGBoostClassifier":
         X = np.asarray(X, dtype=np.float64)
@@ -179,19 +174,18 @@ class XGBoostClassifier:
             raise TrainingError("bad shapes for X/y")
         if not np.isin(np.unique(y), (0.0, 1.0)).all():
             raise TrainingError("XGBoostClassifier expects binary 0/1 labels")
-        self._n_features = X.shape[1]
-        self._flat = None
         rng = np.random.default_rng(self.random_state)
 
         positive = min(max(float(y.mean()), 1e-6), 1 - 1e-6)
         self._base_score = float(np.log(positive / (1.0 - positive)))
         raw = np.full(y.shape[0], self._base_score)
         self._trees = []
+        self._flat = None
         n = y.shape[0]
         sample_size = max(1, int(round(self.subsample * n)))
 
         for _ in range(self.n_estimators):
-            probabilities = _sigmoid(raw)
+            probabilities = sigmoid(raw)
             grad = probabilities - y
             hess = probabilities * (1.0 - probabilities)
             if self.subsample < 1.0:
@@ -209,40 +203,7 @@ class XGBoostClassifier:
             tree.fit(X[indices], grad[indices], hess[indices])
             raw = raw + self.learning_rate * tree.predict(X)
             self._trees.append(tree)
+        self._flat = FlatForest.from_trees(
+            [tree.root for tree in self._trees], n_features=X.shape[1]
+        )
         return self
-
-    def _compiled(self) -> FlatForest:
-        """The flattened ensemble, compiled lazily after ``fit``."""
-        if self._flat is None:
-            self._flat = FlatForest.from_trees(
-                [tree.root for tree in self._trees],
-                n_features=self._n_features,
-            )
-        return self._flat
-
-    def decision_function(self, X: np.ndarray) -> np.ndarray:
-        if not self._trees:
-            raise NotFittedError("XGBoostClassifier is not fitted")
-        X = np.asarray(X, dtype=np.float64)
-        return self._compiled().accumulate(X, self._base_score, self.learning_rate)
-
-    def decision_function_reference(self, X: np.ndarray) -> np.ndarray:
-        """Per-row reference walk; bit-identical to :meth:`decision_function`."""
-        if not self._trees:
-            raise NotFittedError("XGBoostClassifier is not fitted")
-        X = np.asarray(X, dtype=np.float64)
-        raw = np.full(X.shape[0], self._base_score)
-        for tree in self._trees:
-            raw += self.learning_rate * tree.predict(X)
-        return raw
-
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        p = _sigmoid(self.decision_function(X))
-        return np.column_stack([1.0 - p, p])
-
-    def predict_proba_reference(self, X: np.ndarray) -> np.ndarray:
-        p = _sigmoid(self.decision_function_reference(X))
-        return np.column_stack([1.0 - p, p])
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        return (self.decision_function(X) >= 0.0).astype(np.int64)

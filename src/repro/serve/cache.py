@@ -99,8 +99,6 @@ class _LruTtlTier:
         self.ttl_minutes = ttl_minutes
         self._entries: "OrderedDict[str, Tuple[NavigationVerdict, int]]" = OrderedDict()
         self._on_drop = on_drop
-        self.n_expired = 0
-        self.n_evicted = 0
 
     def get(self, key: str, now: int) -> Optional[NavigationVerdict]:
         entry = self._entries.get(key)
@@ -109,7 +107,6 @@ class _LruTtlTier:
         verdict, stored_at = entry
         if now - stored_at >= self.ttl_minutes:
             del self._entries[key]
-            self.n_expired += 1
             self._dropped(key)
             return None
         self._entries.move_to_end(key)
@@ -121,7 +118,6 @@ class _LruTtlTier:
         self._entries[key] = (verdict, now)
         while len(self._entries) > self.capacity:
             evicted, _ = self._entries.popitem(last=False)
-            self.n_evicted += 1
             self._dropped(evicted)
 
     def evict(self, key: str) -> Optional[NavigationVerdict]:

@@ -6,7 +6,6 @@ web, social platforms, anti-phishing ecosystem, and the FreePhish framework
 :mod:`repro.sim.scenario` also provides the historical (Fig. 1) generator.
 """
 
-from .clock import SimulationClock
 from .attacker import AttackerModel, BenignUserModel
 from .groundtruth import GroundTruthDataset, build_ground_truth
 from .adaptive import AdaptiveAttackerModel, FeedbackRound, run_adaptation_experiment
@@ -15,7 +14,6 @@ from .scenario import HistoricalScenario, QuarterSeries
 from .world import CampaignWorld, CampaignResult
 
 __all__ = [
-    "SimulationClock",
     "AttackerModel",
     "BenignUserModel",
     "GroundTruthDataset",

@@ -137,7 +137,6 @@ class CampaignWorld:
             self.web,
             TwitterAPI(self.twitter),
             CrowdTangleAPI(self.facebook),
-            interval_minutes=self.config.stream_interval_minutes,
             instrumentation=self.instr,
         )
         self.reporting = ReportingModule(

@@ -13,6 +13,7 @@ from repro.analysis import (
     build_fig8,
     build_fig9,
     build_table1,
+    build_table2,
     build_table3,
     build_table4,
     cohens_kappa,
@@ -123,6 +124,17 @@ class TestTables:
         # Heavy-boilerplate builders beat raw-HTML hosting (Table 1's point).
         assert by_name["weebly"] > by_name["github_io"]
         assert all(0 <= row.median_similarity <= 1 for row in rows)
+
+    def test_table2_stack_models(self, ground_truth):
+        rows = build_table2(
+            ground_truth.pages, ground_truth.labels, ground_truth.web,
+            n_estimators=5, models=("stackmodel", "ours"),
+        )
+        assert [row.model for row in rows] == ["Base StackModel", "Our Model"]
+        for row in rows:
+            assert 0.5 < row.accuracy <= 1.0
+            assert all(0.0 <= v <= 1.0 for v in (row.precision, row.recall, row.f1))
+            assert 0.0 < row.median_runtime_seconds <= row.total_time_seconds
 
     def test_table3_shape(self, campaign_result):
         rows = build_table3(campaign_result.timelines)

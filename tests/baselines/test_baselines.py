@@ -9,8 +9,9 @@ from repro.baselines import (
     URLNetDetector,
     VisualPhishNetDetector,
 )
+from repro.core import FreePhishClassifier
 from repro.errors import NotFittedError
-from repro.ml import train_test_split
+from repro.ml import StackModel, train_test_split
 from repro.simnet import Browser
 from repro.webdoc import parse_html
 
@@ -209,3 +210,23 @@ class TestBaseStackModel:
     def test_unfitted_raises(self, split):
         with pytest.raises(NotFittedError):
             BaseStackModelDetector().predict_page(split[2][0])
+
+
+@pytest.mark.parametrize("detector_cls,view", [
+    (BaseStackModelDetector, "base_vector"),
+    (FreePhishClassifier, "fwb_vector"),
+])
+def test_detector_is_a_stack_model_on_its_feature_view(split, detector_cls, view):
+    train_pages, ytr, test_pages, _ = split
+    detector = detector_cls(n_estimators=8, n_splits=3, random_state=3)
+    detector.fit_pages(train_pages, ytr)
+    direct = StackModel(n_estimators=8, n_splits=3, random_state=3).fit(
+        np.vstack([getattr(page, view) for page in train_pages]), ytr
+    )
+    X = np.vstack([getattr(page, view) for page in test_pages])
+    assert np.array_equal(detector.predict_pages(test_pages), direct.predict(X))
+    assert [detector.predict_page(page) for page in test_pages[:5]] == (
+        direct.predict(X[:5]).tolist()
+    )
+    probabilities = [p.probability for p in detector.classify_pages(test_pages)]
+    assert probabilities == direct.predict_proba(X)[:, 1].tolist()

@@ -139,13 +139,6 @@ class TestStreaming:
         with pytest.raises(StreamError):
             streaming.poll(now=50)
 
-    def test_run_window_covers_interval(self, web, rng):
-        twitter, _fb, streaming = _stream_setup(web, rng)
-        for i in range(6):
-            twitter.publish(f"https://s{i}.weebly.com/", "u", now=i * 25)
-        observations = streaming.run_window(0, 150)
-        assert len(observations) == 6
-
 
 class TestReporting:
     def test_report_reaches_abuse_desk(self, web, phishing_generator, rng):

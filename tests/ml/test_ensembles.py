@@ -68,6 +68,23 @@ class TestCommonBehaviour:
             factory().fit(X, y)
 
 
+UNFITTED_CALLS = [
+    (name, factory, method)
+    for name, factory in MODELS + [("stack", lambda: StackModel(n_estimators=5))]
+    for method in ("predict_proba", "predict_proba_reference")
+] + [
+    (name, factory, method)
+    for name, factory in MODELS[:3]
+    for method in ("decision_function", "decision_function_reference")
+]
+
+
+@pytest.mark.parametrize("name,factory,method", UNFITTED_CALLS)
+def test_inference_before_fit_raises(name, factory, method):
+    with pytest.raises(NotFittedError):
+        getattr(factory(), method)(np.zeros((2, 6)))
+
+
 class TestBoostingSpecifics:
     def test_more_stages_reduce_training_error(self):
         Xtr, _, ytr, _ = _nonlinear_data(300)

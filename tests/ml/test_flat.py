@@ -118,7 +118,7 @@ class TestThresholdEdges:
         X, y = _training_data()
         model = GradientBoostingClassifier(n_estimators=15, random_state=3)
         model.fit(X, y)
-        flat = model._compiled()
+        flat = model._flat
         internal = flat.threshold[flat.feature >= 0]
         rng = SEEDS.child("flat.edges")
         Q = rng.normal(size=(64, X.shape[1]))
@@ -144,7 +144,7 @@ class TestFlatForestStructure:
         X, y = _training_data()
         model = GradientBoostingClassifier(n_estimators=8, random_state=3)
         model.fit(X, y)
-        return model._compiled(), X
+        return model._flat, X
 
     def test_leaves_self_loop(self):
         flat, _ = self._compiled()

@@ -1,50 +1,20 @@
-"""Simulation machinery: clock, attacker, ground truth, scenario, world."""
+"""Simulation machinery: attacker, ground truth, scenario, world."""
 
 import numpy as np
 import pytest
 
 from repro.config import SimulationConfig
-from repro.errors import ConfigError, SimulationError
+from repro.errors import ConfigError
 from repro.sim import (
     AttackerModel,
     BenignUserModel,
     CampaignWorld,
     HistoricalScenario,
-    SimulationClock,
     build_ground_truth,
 )
 from repro.sim.scenario import ADOPTION_QUARTER
 from repro.simnet import Web
 from repro.social import FacebookPlatform, TwitterPlatform
-
-
-class TestClock:
-    def test_ticks_advance(self):
-        clock = SimulationClock(tick_minutes=10)
-        assert clock.tick() == 10
-        clock.run_until(100)
-        assert clock.now == 100
-
-    def test_one_shot_callback(self):
-        clock = SimulationClock(tick_minutes=10)
-        fired = []
-        clock.schedule_at(25, fired.append)
-        clock.run_until(40)
-        assert fired == [30]  # first tick at/after 25
-
-    def test_periodic_callback(self):
-        clock = SimulationClock(tick_minutes=10)
-        fired = []
-        clock.schedule_every(30, fired.append)
-        clock.run_until(100)
-        assert fired == [30, 60, 90]
-
-    def test_past_scheduling_rejected(self):
-        clock = SimulationClock(start=100)
-        with pytest.raises(SimulationError):
-            clock.schedule_at(50, lambda now: None)
-        with pytest.raises(SimulationError):
-            clock.run_until(50)
 
 
 class TestConfig:
