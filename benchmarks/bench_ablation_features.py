@@ -6,7 +6,6 @@ change: the *same* stacking architecture trained on the base vs augmented
 feature sets, plus each FWB feature alone.
 """
 
-import numpy as np
 from conftest import emit
 
 from repro.core.features import BASE_FEATURE_NAMES, FWB_FEATURE_NAMES

@@ -3,8 +3,8 @@
 The performance pass compiled every tree ensemble into a
 :class:`~repro.ml.flat.FlatForest` (parallel numpy arrays, vectorized
 level-order descent) and batched the framework's per-tick classification
-into one matrix. This bench pins both claims at the repo root in
-``BENCH_classify.json``:
+into one matrix. This bench pins both claims and writes the measured
+timings to ``bench-out/BENCH_classify.json`` (git-ignored, host-specific):
 
 * **speedup** — scoring a 4k-row feature matrix through the flat path must
   be ≥ 5x faster than the per-row reference walk it replaced (one
@@ -125,10 +125,11 @@ def test_flat_batch_beats_per_row_reference():
         },
         "models": model_sections,
     }
-    out = REPO_ROOT / "BENCH_classify.json"
+    out = REPO_ROOT / "bench-out" / "BENCH_classify.json"
+    out.parent.mkdir(exist_ok=True)
     out.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
     emit(
         "Throughput — flat batched classification",
-        "\n".join(lines + [f"wrote {out.name}"]),
+        "\n".join(lines + [f"wrote {out.relative_to(REPO_ROOT)}"]),
     )

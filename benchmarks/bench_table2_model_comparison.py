@@ -6,7 +6,6 @@ Our Model < VisualPhishNet < PhishIntention. Absolute runtimes differ (the
 substrate replaces deep-vision inference), but both orderings must hold.
 """
 
-import numpy as np
 from conftest import emit
 
 from repro.analysis import build_table2

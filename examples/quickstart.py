@@ -14,7 +14,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro import FreePhishClassifier, build_ground_truth
-from repro.core.features import FWB_FEATURE_NAMES
 from repro.core.preprocess import Preprocessor
 from repro.ml import RandomForestClassifier
 from repro.sitegen import LegitimateSiteGenerator, PhishingSiteGenerator

@@ -21,13 +21,12 @@ statistics are computed through the real WHOIS/search-index substrate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
 from ..simnet.hosting import HostedSite
 from ..simnet.web import Web
-from ..sitegen.kits import PhishingKitGenerator
 from ..sitegen.legitimate import LegitimateSiteGenerator
 from ..sitegen.phishing import PhishingSiteGenerator
 from .stats import cohens_kappa

@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
-import numpy as np
-
 from ..config import minutes_to_hhmm
 from ..core.monitor import UrlTimeline
 from .stats import coverage_fraction, median_or_none, min_max

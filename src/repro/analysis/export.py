@@ -11,12 +11,12 @@ import csv
 import json
 from dataclasses import asdict, is_dataclass
 from pathlib import Path
-from typing import Iterable, List, Sequence, Union
+from typing import List, Sequence, Union
 
 from ..core.monitor import UrlTimeline
 from .coverage import CoverageStats
 from .figures import SeriesFigure
-from .tables import Table1Row, Table2Row, Table3Row, Table4Row
+from .tables import Table3Row, Table4Row
 
 PathLike = Union[str, Path]
 

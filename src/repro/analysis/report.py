@@ -6,7 +6,7 @@ evaluation section.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Sequence
 
 from .coverage import CoverageStats
 from .figures import SeriesFigure

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -18,7 +18,6 @@ from ..sitegen.phishing import PhishingSiteGenerator
 from ..webdoc.similarity import median_pairwise_similarity
 from .coverage import (
     CoverageStats,
-    ENTITY_EXTRACTORS,
     coverage_stats,
     group_by_fwb,
     split_fwb_self,

@@ -23,7 +23,7 @@ interface are found — the design that gives PhishIntention its precision.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 

@@ -17,7 +17,7 @@ truth, the weakest of the four candidates, though also the fastest.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 

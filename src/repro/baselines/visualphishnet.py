@@ -19,7 +19,7 @@ profiles, which is why the paper measures only 0.72 recall here.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 

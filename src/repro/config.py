@@ -40,6 +40,10 @@ MONITOR_WINDOW_MINUTES = 7 * 24 * 60
 #: FWB takedown measurements extend to two weeks (paper §5.3).
 TAKEDOWN_WINDOW_MINUTES = 14 * 24 * 60
 
+#: Share of phishing announcements posted to Twitter: the measured
+#: 19,724 Twitter / 11,681 Facebook split (paper §5).
+TWITTER_SHARE = 19724 / 31405
+
 MINUTES_PER_HOUR = 60
 MINUTES_PER_DAY = 24 * 60
 
@@ -123,31 +127,27 @@ class SimulationConfig:
 
     The defaults mirror the paper's six-month measurement (Nov 2022 - May
     2023, 31,405 FWB phishing URLs split 19,724 Twitter / 11,681 Facebook).
-    Scaled-down runs simply lower ``target_fwb_phishing``.
+    Scaled-down runs simply lower ``target_fwb_phishing``. Cadence, windows
+    and the platform split are the module constants above.
     """
 
     seed: int = DEFAULT_SEED
     duration_days: int = 180
     target_fwb_phishing: int = 31405
-    twitter_share: float = 19724 / 31405
-    benign_per_phishing: float = 1.0
-    stream_interval_minutes: int = STREAM_INTERVAL_MINUTES
-    monitor_window_minutes: int = MONITOR_WINDOW_MINUTES
-    takedown_window_minutes: int = TAKEDOWN_WINDOW_MINUTES
 
     def __post_init__(self) -> None:
         if self.duration_days <= 0:
             raise ConfigError("duration_days must be positive")
         if self.target_fwb_phishing < 0:
             raise ConfigError("target_fwb_phishing cannot be negative")
-        if not 0.0 <= self.twitter_share <= 1.0:
-            raise ConfigError("twitter_share must lie in [0, 1]")
-        if self.stream_interval_minutes <= 0:
-            raise ConfigError("stream_interval_minutes must be positive")
 
     @property
     def duration_minutes(self) -> int:
         return self.duration_days * MINUTES_PER_DAY
+
+    @property
+    def stream_interval_minutes(self) -> int:
+        return STREAM_INTERVAL_MINUTES
 
     def seed_bank(self) -> SeedBank:
         return SeedBank(self.seed)
@@ -164,9 +164,4 @@ class SimulationConfig:
             seed=self.seed if seed is None else seed,
             duration_days=max(1, int(self.duration_days * fraction)),
             target_fwb_phishing=max(1, int(self.target_fwb_phishing * fraction)),
-            twitter_share=self.twitter_share,
-            benign_per_phishing=self.benign_per_phishing,
-            stream_interval_minutes=self.stream_interval_minutes,
-            monitor_window_minutes=self.monitor_window_minutes,
-            takedown_window_minutes=self.takedown_window_minutes,
         )

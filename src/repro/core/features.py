@@ -28,8 +28,6 @@ from ..simnet.browser import PageSnapshot
 from ..simnet.url import (
     URL,
     URLStringStats,
-    count_sensitive_words,
-    count_suspicious_symbols,
 )
 from ..webdoc import Document, Element, parse_html
 

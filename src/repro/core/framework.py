@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from ..obs.instrument import NULL_INSTRUMENTATION, Instrumentation
-from ..simnet.web import Web
 from .classifier import FreePhishClassifier
 from .monitor import AnalysisModule
 from .preprocess import Preprocessor, ProcessedPage
@@ -31,7 +30,6 @@ class DetectionRecord:
     """One classifier-positive URL, with its provenance."""
 
     observation: StreamObservation
-    page: ProcessedPage
     probability: float
     detected_at: int
 
@@ -41,24 +39,18 @@ class FreePhish:
 
     def __init__(
         self,
-        web: Web,
         streaming: StreamingModule,
         preprocessor: Preprocessor,
         classifier: FreePhishClassifier,
         reporting: ReportingModule,
         analysis: AnalysisModule,
-        #: Track only FWB-hosted URLs (the paper's main dataset); the
-        #: self-hosted comparison stream is collected separately.
-        fwb_only: bool = True,
         instrumentation: Optional[Instrumentation] = None,
     ) -> None:
-        self.web = web
         self.streaming = streaming
         self.preprocessor = preprocessor
         self.classifier = classifier
         self.reporting = reporting
         self.analysis = analysis
-        self.fwb_only = fwb_only
         self.detections: List[DetectionRecord] = []
         #: Stream observations polled across every cycle.
         self.observations = 0
@@ -95,17 +87,11 @@ class FreePhish:
         self._c_polls.inc()
         self._c_observations.inc(len(observations))
 
-        eligible = []
+        pages: List[ProcessedPage] = []
+        kept: List[StreamObservation] = []
         for observation in observations:
             if observation.is_fwb:
                 self._c_fwb_observations.inc()
-            elif self.fwb_only:
-                continue
-            eligible.append(observation)
-
-        pages: List[ProcessedPage] = []
-        kept: List[StreamObservation] = []
-        for observation in eligible:
             page = self.preprocessor.process(observation.url, now)
             if page is None:
                 self._c_unreachable.inc()
@@ -124,7 +110,6 @@ class FreePhish:
                 continue
             record = DetectionRecord(
                 observation=observation,
-                page=page,
                 probability=prediction.probability,
                 detected_at=now,
             )

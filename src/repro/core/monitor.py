@@ -5,7 +5,8 @@ For every URL entering the dataset the module tracks, on the paper's
 
 * presence on each of the four blocklists;
 * VirusTotal engine detections (sampled at 3 h, 6 h, then daily to 7 days);
-* liveness of the hosting website (FWB takedown / registrar takedown);
+* liveness of the hosting website (FWB takedown / registrar takedown),
+  over the two-week takedown window;
 * liveness of the social post that carried the URL.
 
 Timelines record *offsets from first appearance in the dataset*, which is
@@ -15,9 +16,13 @@ exactly what the paper's coverage/response-time metrics are computed over.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from ..config import MONITOR_WINDOW_MINUTES, STREAM_INTERVAL_MINUTES
+from ..config import (
+    MONITOR_WINDOW_MINUTES,
+    STREAM_INTERVAL_MINUTES,
+    TAKEDOWN_WINDOW_MINUTES,
+)
 from ..obs.instrument import NULL_INSTRUMENTATION, Instrumentation
 from ..ecosystem.blocklists import Blocklist
 from ..ecosystem.virustotal import VirusTotal
@@ -85,16 +90,12 @@ class AnalysisModule:
         blocklists: Dict[str, Blocklist],
         virustotal: VirusTotal,
         platforms: Dict[str, SocialPlatform],
-        window_minutes: int = MONITOR_WINDOW_MINUTES,
-        poll_interval: int = STREAM_INTERVAL_MINUTES,
         instrumentation: Optional[Instrumentation] = None,
     ) -> None:
         self.web = web
         self.blocklists = dict(blocklists)
         self.virustotal = virustotal
         self.platforms = dict(platforms)
-        self.window_minutes = window_minutes
-        self.poll_interval = poll_interval
         self._tracked: List[StreamObservation] = []
         self.instr = (
             instrumentation if instrumentation is not None else NULL_INSTRUMENTATION
@@ -123,18 +124,17 @@ class AnalysisModule:
         if listed_at is None:
             return None
         offset = listed_at - first_seen
-        offset = _round_up_to_poll(offset, self.poll_interval)
-        if offset is None or offset > self.window_minutes:
+        offset = _round_up_to_poll(offset, STREAM_INTERVAL_MINUTES)
+        if offset is None or offset > MONITOR_WINDOW_MINUTES:
             return None
         return offset
 
-    def _site_removal_offset(self, url: URL, first_seen: int,
-                             horizon_minutes: int) -> Optional[int]:
+    def _site_removal_offset(self, url: URL, first_seen: int) -> Optional[int]:
         site = self.web.site_for(url)
         if site is None or site.removed_at is None:
             return None
-        offset = _round_up_to_poll(site.removed_at - first_seen, self.poll_interval)
-        if offset is None or offset > horizon_minutes:
+        offset = _round_up_to_poll(site.removed_at - first_seen, STREAM_INTERVAL_MINUTES)
+        if offset is None or offset > TAKEDOWN_WINDOW_MINUTES:
             return None
         return offset
 
@@ -146,8 +146,8 @@ class AnalysisModule:
         if post is None or post.removed_at is None:
             return None
         offset = post.removed_at - observation.observed_at
-        offset = _round_up_to_poll(offset, self.poll_interval)
-        if offset is None or offset > self.window_minutes:
+        offset = _round_up_to_poll(offset, STREAM_INTERVAL_MINUTES)
+        if offset is None or offset > MONITOR_WINDOW_MINUTES:
             return None
         return offset
 
@@ -155,7 +155,6 @@ class AnalysisModule:
         self,
         observation: StreamObservation,
         truth_label: bool = True,
-        site_horizon_minutes: Optional[int] = None,
     ) -> UrlTimeline:
         """Resolve one observation's complete timeline."""
         first_seen = observation.observed_at
@@ -171,8 +170,7 @@ class AnalysisModule:
                 blocklist, observation.url, first_seen
             )
         timeline.site_removal_offset = self._site_removal_offset(
-            observation.url, first_seen,
-            self.window_minutes if site_horizon_minutes is None else site_horizon_minutes,
+            observation.url, first_seen
         )
         timeline.post_removal_offset = self._post_removal_offset(observation)
         for offset in VT_SAMPLE_OFFSETS:
@@ -183,14 +181,11 @@ class AnalysisModule:
     def resolve_all(
         self,
         truth: Optional[Dict[str, bool]] = None,
-        site_horizon_minutes: Optional[int] = None,
     ) -> List[UrlTimeline]:
         """Resolve timelines for every tracked URL."""
         timelines = []
         for observation in self._tracked:
             label = True if truth is None else truth.get(str(observation.url), True)
-            timelines.append(
-                self.resolve(observation, label, site_horizon_minutes)
-            )
+            timelines.append(self.resolve(observation, label))
         self._c_resolved.inc(len(timelines))
         return timelines

@@ -1,24 +1,25 @@
 """Reporting module (paper §4.3).
 
-URLs the classifier flags as phishing are reported immediately to (a) the
-hosting FWB service's abuse desk and (b) the social platform the URL was
-found on. Reports carry the evidence bundle the paper describes — full URL,
-screenshot (visual signature), and the spoofed organization — since
-evidence-backed reports are actioned faster. Blocklists are deliberately
-**not** notified: community lists ingest reports unverified, which would
-contaminate the longitudinal measurement.
+URLs the classifier flags as phishing are reported immediately to the
+hosting FWB service's abuse desk. Reports carry the evidence bundle the
+paper describes — full URL, screenshot (visual signature), and the spoofed
+organization — since evidence-backed reports are actioned faster. The
+record names the social platform and post the URL was found on, but a
+platform takes no direct action on a report: the post rides the
+platform's own moderation pipeline
+(:meth:`~repro.social.platform.SocialPlatform.scan`). Blocklists are
+deliberately **not** notified: community lists ingest reports unverified,
+which would contaminate the longitudinal measurement.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from ..ecosystem.takedown import AbuseDesk, ReportOutcome, TakedownTicket
 from ..errors import ReportingError
 from ..obs.instrument import NULL_INSTRUMENTATION, Instrumentation
-from ..simnet.url import URL
-from ..social.platform import SocialPlatform
 from .preprocess import ProcessedPage
 from .streaming import StreamObservation
 
@@ -34,31 +35,23 @@ class AbuseReport:
     reported_at: int
     spoofed_brand: Optional[str]
     fwb_outcome: Optional[ReportOutcome] = None
-    platform_actioned: bool = False
 
 
 class ReportingModule:
-    """Files reports with FWB abuse desks and social platforms."""
+    """Files reports with FWB abuse desks."""
 
     def __init__(
         self,
         abuse_desks: Dict[str, AbuseDesk],
-        platforms: Dict[str, SocialPlatform],
-        #: Platforms action a fraction of external reports directly; the
-        #: rest ride the platform's own moderation pipeline.
-        platform_report_action_rate: float = 0.0,
         instrumentation: Optional[Instrumentation] = None,
     ) -> None:
         self.abuse_desks = dict(abuse_desks)
-        self.platforms = dict(platforms)
-        self.platform_report_action_rate = platform_report_action_rate
         self.reports: List[AbuseReport] = []
         instr = (
             instrumentation if instrumentation is not None else NULL_INSTRUMENTATION
         )
         self._c_filed = instr.counter("reporting.filed")
         self._c_fwb = instr.counter("reporting.fwb_reports")
-        self._c_platform_actioned = instr.counter("reporting.platform_actioned")
 
     def report(
         self,
@@ -88,14 +81,6 @@ class ReportingModule:
             ticket: TakedownTicket = desk.receive_report(observation.url, now)
             report.fwb_outcome = ticket.outcome
             self._c_fwb.inc()
-        platform = self.platforms.get(observation.platform)
-        if platform is not None and self.platform_report_action_rate > 0:
-            if platform.rng.random() < self.platform_report_action_rate:
-                report.platform_actioned = platform.remove_reported(
-                    observation.post.post_id, now
-                )
-                if report.platform_actioned:
-                    self._c_platform_actioned.inc()
         self.reports.append(report)
         self._c_filed.inc()
         return report

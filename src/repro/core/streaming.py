@@ -2,14 +2,14 @@
 
 Polls Twitter (search API) and Facebook (CrowdTangle) every 10 minutes,
 extracts URLs from fresh posts with the library's URL regex, and forwards
-FWB-hosted URLs (plus, optionally, everything else for the self-hosted
-comparison stream) downstream.
+every new URL downstream tagged with its FWB service (None for the
+self-hosted comparison stream).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ..errors import StreamError
 from ..obs.instrument import NULL_INSTRUMENTATION, Instrumentation

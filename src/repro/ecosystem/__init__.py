@@ -11,7 +11,7 @@ from .intel import UrlIntel, IntelService, suspicion_score
 from .engines import DetectionEngine, default_engine_fleet
 from .fleet import EngineFleet
 from .virustotal import VirusTotal, ScanReport
-from .blocklists import Blocklist, BlocklistEntry, default_blocklists
+from .blocklists import Blocklist, default_blocklists
 from .takedown import AbuseDesk, RegistrarDesk, ReportOutcome
 from .feeds import FeedLink, FeedNetwork, sharing_experiment
 from .crawlers import (
@@ -32,7 +32,6 @@ __all__ = [
     "VirusTotal",
     "ScanReport",
     "Blocklist",
-    "BlocklistEntry",
     "default_blocklists",
     "AbuseDesk",
     "RegistrarDesk",

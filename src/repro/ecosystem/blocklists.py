@@ -19,7 +19,7 @@ of Table 3 from a single mechanism.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -27,13 +27,7 @@ from ..config import SeedBank
 from ..errors import ConfigError
 from ..obs.instrument import NULL_INSTRUMENTATION, Instrumentation
 from ..simnet.url import URL
-from .intel import IntelService, UrlIntel, suspicion_score
-
-
-@dataclass(frozen=True)
-class BlocklistEntry:
-    url: str
-    listed_at: int
+from .intel import IntelService, suspicion_score
 
 
 @dataclass(frozen=True)
@@ -80,7 +74,6 @@ class Blocklist:
         self._seeds = SeedBank(seed)
         #: url -> listing time (absolute minutes), None = never lists.
         self._listing_time: Dict[str, Optional[int]] = {}
-        self._entries: List[BlocklistEntry] = []
         instr = (
             instrumentation if instrumentation is not None else NULL_INSTRUMENTATION
         )
@@ -122,7 +115,6 @@ class Blocklist:
         delay = rng.lognormal(np.log(median), behavior.sigma)
         listed_at = now + max(2, int(round(delay)))
         self._listing_time[key] = listed_at
-        self._entries.append(BlocklistEntry(url=key, listed_at=listed_at))
         self._c_listed.inc()
 
     def contains(self, url: URL, now: int) -> bool:
@@ -132,9 +124,6 @@ class Blocklist:
 
     def listing_time(self, url: URL) -> Optional[int]:
         return self._listing_time.get(str(url))
-
-    def entries(self) -> List[BlocklistEntry]:
-        return list(self._entries)
 
 
 #: Behaviour calibrated to Table 3 (coverage % / median response hh:mm):

@@ -19,7 +19,7 @@ Both crawlers emit :class:`DiscoveredHost` events that can seed blocklists;
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Set
+from typing import Iterable, List, Optional, Set
 
 from ..simnet.tls import CTLog
 from ..simnet.search import SearchIndex
@@ -49,13 +49,12 @@ class CTLogMonitor:
         self,
         ct_log: CTLog,
         catalog: Optional[BrandCatalog] = None,
-        extra_tokens: Sequence[str] = SENSITIVE_VOCABULARY,
     ) -> None:
         self.ct_log = ct_log
         catalog = catalog if catalog is not None else default_brand_catalog()
         self._tokens: List[str] = sorted(
             {token for brand in catalog for token in brand.tokens() if len(token) >= 4}
-            | {token for token in extra_tokens if len(token) >= 4}
+            | {token for token in SENSITIVE_VOCABULARY if len(token) >= 4}
         )
         self._cursor = 0
         self._seen: Set[str] = set()

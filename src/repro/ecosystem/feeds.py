@@ -16,10 +16,10 @@ discovery, not distribution). See ``benchmarks/bench_feed_sharing.py``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..simnet.url import URL, parse_url
+from ..simnet.url import URL
 from .blocklists import Blocklist
 
 

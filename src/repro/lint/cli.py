@@ -126,7 +126,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     root = args.project_root if args.project_root else _find_project_root(paths[0])
     rules = select_rules(select=args.select, ignore=args.ignore)
-    project = ProjectContext.build(Path(__file__).resolve().parent.parent)
+    project = ProjectContext.build(Path(__file__).resolve().parent.parent, root)
 
     if args.no_cache:
         cache_path: Optional[Path] = None

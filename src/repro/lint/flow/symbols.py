@@ -28,6 +28,7 @@ import ast
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from ..project import module_name_for, resolve_relative
 from ..rules import WallClockRule, dotted_name
 from ..suppress import SuppressionIndex
 
@@ -187,35 +188,6 @@ class ModuleSummary:
                         return True, reason
                 return True, None
         return None
-
-
-def module_name_for(rel_path: str) -> str:
-    """``src/repro/serve/bench.py`` → ``repro.serve.bench`` (the leading
-    ``src`` component and ``__init__`` suffix are dropped)."""
-    parts = rel_path.replace("\\", "/").split("/")
-    if parts and parts[0] == "src":
-        parts = parts[1:]
-    if parts and parts[-1].endswith(".py"):
-        parts[-1] = parts[-1][: -len(".py")]
-    if parts and parts[-1] == "__init__":
-        parts = parts[:-1]
-    return ".".join(parts)
-
-
-def _resolve_relative(module: str, is_package: bool, level: int,
-                      target: Optional[str]) -> str:
-    """Absolute module path for a (possibly relative) ``from`` import."""
-    if level == 0:
-        return target or ""
-    parts = module.split(".") if module else []
-    # The package containing this module: itself for __init__.py.
-    package = parts if is_package else parts[:-1]
-    if level > 1:
-        package = package[: len(package) - (level - 1)]
-    base = list(package)
-    if target:
-        base.extend(target.split("."))
-    return ".".join(base)
 
 
 def _chain_of(func: ast.expr) -> Optional[List[str]]:
@@ -511,7 +483,7 @@ def extract_module(
                 target = alias.name if alias.asname else alias.name.split(".")[0]
                 summary.imports[name] = target
         elif isinstance(stmt, ast.ImportFrom):
-            base = _resolve_relative(module, is_package, stmt.level, stmt.module)
+            base = resolve_relative(module, is_package, stmt.level, stmt.module)
             for alias in stmt.names:
                 if alias.name == "*":
                     continue

@@ -10,7 +10,10 @@ checks need to know things defined *elsewhere* in the package:
   ``self.x = ...`` assignments), so a function annotated
   ``timeline: UrlTimeline`` can be checked against the real class.
 
-Both are computed once per run and shared by every file checker. The
+* which names each module's siblings import from it, so RP404 can tell
+  a re-export from an unused import.
+
+All are computed once per run and shared by every file checker. The
 feature schema is imported at runtime (the linter ships inside the
 package it lints, so the import is always available in a working tree);
 the class table is built statically from the AST so that unparseable or
@@ -55,6 +58,56 @@ _SEQUENCE_WRAPPERS = frozenset(
 
 #: Wrappers that forward the inner type unchanged (``Optional[X]`` → X).
 _TRANSPARENT_WRAPPERS = frozenset({"Optional", "Final", "Annotated"})
+
+
+def module_name_for(rel_path: str) -> str:
+    """``src/repro/serve/bench.py`` → ``repro.serve.bench`` (the leading
+    ``src`` component and ``__init__`` suffix are dropped)."""
+    parts = rel_path.replace("\\", "/").split("/")
+    if parts and parts[0] == "src":
+        parts = parts[1:]
+    if parts and parts[-1].endswith(".py"):
+        parts[-1] = parts[-1][: -len(".py")]
+    if parts and parts[-1] == "__init__":
+        parts = parts[:-1]
+    return ".".join(parts)
+
+
+def resolve_relative(module: str, is_package: bool, level: int,
+                     target: Optional[str]) -> str:
+    """Absolute module path for a (possibly relative) ``from`` import."""
+    if level == 0:
+        return target or ""
+    parts = module.split(".") if module else []
+    # The package containing this module: itself for __init__.py.
+    package = parts if is_package else parts[:-1]
+    if level > 1:
+        package = package[: len(package) - (level - 1)]
+    base = list(package)
+    if target:
+        base.extend(target.split("."))
+    return ".".join(base)
+
+
+def _collect_from_imports(project_root: Optional[Path]) -> FrozenSet[str]:
+    """Every ``module.name`` that a ``from module import name`` anywhere
+    under ``project_root`` imports, with relative imports resolved."""
+    from .visitor import iter_python_files  # the visitor imports this module
+
+    imported: Set[str] = set()
+    for path in iter_python_files([project_root] if project_root else []):
+        rel = path.relative_to(project_root.resolve()).as_posix()
+        try:
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+        except (SyntaxError, OSError, UnicodeDecodeError):
+            continue
+        module = module_name_for(rel)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                base = resolve_relative(module, rel.endswith("__init__.py"),
+                                        node.level, node.module)
+                imported.update(f"{base}.{alias.name}" for alias in node.names)
+    return frozenset(imported)
 
 
 @dataclass
@@ -116,22 +169,29 @@ class ProjectContext:
         self,
         feature_names: Optional[FrozenSet[str]] = None,
         classes: Optional[Dict[str, ClassInfo]] = None,
+        project_root: Optional[Path] = None,
     ) -> None:
         self.feature_names: FrozenSet[str] = (
             feature_names if feature_names is not None else frozenset()
         )
         self.classes: Dict[str, ClassInfo] = classes if classes is not None else {}
         self._resolved: Dict[str, Optional[FrozenSet[str]]] = {}
+        self.project_root = project_root
+        self._from_imports: Optional[FrozenSet[str]] = None
 
     # -- construction ------------------------------------------------------------
 
     @classmethod
-    def build(cls, package_dir: Optional[Path]) -> "ProjectContext":
+    def build(
+        cls, package_dir: Optional[Path], project_root: Optional[Path] = None
+    ) -> "ProjectContext":
         """Build the context for the package rooted at ``package_dir``
-        (the directory containing the ``repro`` sources)."""
+        (the directory containing the ``repro`` sources), linted as part
+        of the project at ``project_root``."""
         return cls(
             feature_names=cls._load_feature_schema(),
             classes=cls._build_class_table(package_dir),
+            project_root=project_root,
         )
 
     @staticmethod
@@ -172,6 +232,17 @@ class ProjectContext:
 
     def is_feature_name(self, name: str) -> bool:
         return name in self.feature_names
+
+    def is_imported_from(self, module: str, name: str) -> bool:
+        """Whether a project file imports ``name`` from ``module`` or from a
+        dotted suffix of it (benchmarks import ``conftest`` by bare name)."""
+        if self._from_imports is None:
+            self._from_imports = _collect_from_imports(self.project_root)
+        parts = module.split(".")
+        return any(
+            ".".join(parts[start:] + [name]) in self._from_imports
+            for start in range(len(parts))
+        )
 
     def attribute_surface(self, class_name: str) -> Optional[FrozenSet[str]]:
         """Full attribute set of ``class_name`` including inherited

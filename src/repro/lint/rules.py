@@ -14,7 +14,8 @@ Four families, mirroring the reproduction's core invariants
   modules; these rules pin them to their single source of truth.
 * **RP4xx — hygiene.** Failure modes (mutable defaults, bare excepts,
   strippable asserts) that corrupt long campaign runs in ways a unit
-  test never sees.
+  test never sees, and unused imports that hide a module's real
+  dependencies.
 
 Each rule is a singleton class with ``check_<NodeType>`` hooks; the
 dispatcher in :mod:`repro.lint.visitor` walks each file's AST exactly
@@ -28,6 +29,7 @@ from __future__ import annotations
 import ast
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set
 
+from .project import module_name_for
 from .report import Severity
 
 #: Every scope a file can be classified into (see visitor.classify_scope).
@@ -809,6 +811,59 @@ class LibraryAssertRule(Rule):
                                "python -O; raise a ReproError subclass instead")
 
 
+def _names_read(tree: ast.Module) -> Set[str]:
+    """Every name the module reads, including names inside string
+    annotations (``-> "SimulationConfig"``) and ``__all__`` entries."""
+    names: Set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__"
+            for target in node.targets
+        ):
+            names.update(element.value for element in _string_elements(node.value))
+        annotation = getattr(node, "annotation", None) or getattr(node, "returns", None)
+        for sub in ast.walk(annotation) if annotation is not None else ():
+            if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                try:
+                    parsed = ast.parse(sub.value, mode="eval")
+                except SyntaxError:
+                    continue
+                names.update(n.id for n in ast.walk(parsed) if isinstance(n, ast.Name))
+    return names
+
+
+class UnusedImportRule(Rule):
+    """RP404: no unused module-level imports."""
+
+    id = "RP404"
+    name = "unused-import"
+    severity = Severity.WARNING
+    scopes = ALL_SCOPES
+    summary = (
+        "an import nothing reads hides the module's real dependencies; "
+        "package __init__ files, names in __all__, __future__ imports and "
+        "names another project file imports from this module are exempt."
+    )
+
+    def check_Module(self, node: ast.Module, ctx) -> None:
+        if ctx.path.name == "__init__.py":
+            return
+        used = _names_read(node) | {"*"}
+        module = module_name_for(ctx.rel_path)
+        for stmt in node.body:
+            if isinstance(stmt, ast.Import) or (
+                isinstance(stmt, ast.ImportFrom) and stmt.module != "__future__"
+            ):
+                for alias in stmt.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in used and not ctx.project.is_imported_from(
+                        module, bound
+                    ):
+                        ctx.report(self, alias, f"{bound!r} is imported but unused")
+
+
 #: Registry, in report order. Ten-plus distinct IDs, each unit-tested.
 RULES: Sequence[Rule] = (
     WallClockRule(),
@@ -829,6 +884,7 @@ RULES: Sequence[Rule] = (
     MutableDefaultRule(),
     BareExceptRule(),
     LibraryAssertRule(),
+    UnusedImportRule(),
 )
 
 RULES_BY_ID: Dict[str, Rule] = {rule.id: rule for rule in RULES}

@@ -180,7 +180,7 @@ def run_lint(
     root = project_root if project_root is not None else Path.cwd()
     if project is None:
         package_dir = Path(__file__).resolve().parent.parent
-        project = ProjectContext.build(package_dir)
+        project = ProjectContext.build(package_dir, root)
     checker = FileChecker(project=project, rules=rules, project_root=root)
     report = LintReport()
     saw_library = False

@@ -37,7 +37,9 @@ class BoostedTrees:
         """The matrix the trees split on, for a fitted model."""
         if self._flat is None:
             raise NotFittedError(f"{type(self).__name__} is not fitted")
-        return np.asarray(X, dtype=np.float64)
+        X = np.asarray(X, dtype=np.float64)
+        self._flat.check_input(X)
+        return X
 
     def decision_function(self, X: np.ndarray) -> np.ndarray:
         inputs = self._tree_inputs(X)

@@ -7,7 +7,7 @@ predictions; both live here.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 

@@ -174,6 +174,16 @@ class FlatForest:
 
     # -- inference ------------------------------------------------------------
 
+    def check_input(self, X: np.ndarray) -> None:
+        """Raise :class:`TrainingError` unless ``X`` is 2-D and as wide as
+        the training data."""
+        if X.ndim != 2:
+            raise TrainingError(f"X must be 2-D, got shape {X.shape}")
+        if self.n_features is not None and X.shape[1] != self.n_features:
+            raise TrainingError(
+                f"expected {self.n_features} features, got shape {X.shape}"
+            )
+
     def leaf_values(self, X: np.ndarray) -> np.ndarray:
         """Per-tree leaf values for every row: shape ``(n_trees, n_rows)``.
 
@@ -182,12 +192,7 @@ class FlatForest:
         the result in tree order to match the reference walks bit-for-bit.
         """
         X = np.asarray(X)
-        if X.ndim != 2:
-            raise TrainingError(f"X must be 2-D, got shape {X.shape}")
-        if self.n_features is not None and X.shape[1] != self.n_features:
-            raise TrainingError(
-                f"expected {self.n_features} features, got shape {X.shape}"
-            )
+        self.check_input(X)
         n = X.shape[0]
         node = np.repeat(self.roots[:, None], n, axis=1)
         if n == 0:

@@ -15,7 +15,7 @@ The two signature LightGBM techniques reproduced here:
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -263,5 +263,5 @@ class LightGBMClassifier(BoostedTrees):
     def _tree_inputs(self, X: np.ndarray) -> np.ndarray:
         """Trees split on bin indices; thresholds are the integer
         ``threshold_bin`` values, exact in float64."""
-        inputs = super()._tree_inputs(X)  # raises before the binner is read
+        inputs = super()._tree_inputs(X)  # checked before the binner reads it
         return self._binner.transform(inputs)

@@ -10,7 +10,7 @@ enough for the study's workloads (thousands of samples, ~20 features).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import sys
 from collections import deque
-from typing import Callable, Deque, Dict, List, Optional, TextIO, Tuple
+from typing import Callable, Deque, Dict, List, Optional, TextIO
 
 #: Field values are restricted to JSON-scalar types so every event is
 #: exportable verbatim.

@@ -20,7 +20,7 @@ across runs.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Union
 
 from ..errors import ObservabilityError
 

@@ -15,15 +15,26 @@ services (Weebly, 000webhost, Wix) lose it — quantified by
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
 from ..simnet.web import Web
 from ..social.platform import SocialPlatform
 from .attacker import AttackerModel, LaunchedAttack
+
+#: How aggressively FWB weights move toward observed survival: 0 keeps the
+#: static distribution, 1 jumps straight to the survival profile.
+LEARNING_RATE = 0.5
+
+#: Minimum share kept on every service so the attacker keeps probing
+#: services it has abandoned (real campaigns do).
+EXPLORATION_FLOOR = 0.01
+
+#: How long after a round's last launch its attacks' survival is judged.
+SURVIVAL_HORIZON_MINUTES = 24 * 60
 
 
 @dataclass
@@ -42,30 +53,16 @@ class FeedbackRound:
 
 
 class AdaptiveAttackerModel(AttackerModel):
-    """An attacker that re-weights FWB choice by observed survival.
-
-    Parameters
-    ----------
-    learning_rate:
-        How aggressively weights move toward observed survival. 0 keeps the
-        static distribution; 1 jumps straight to the survival profile.
-    exploration_floor:
-        Minimum share kept on every service so the attacker keeps probing
-        services it has abandoned (real campaigns do).
-    """
+    """An attacker that re-weights FWB choice by observed survival, at
+    :data:`LEARNING_RATE` and never below :data:`EXPLORATION_FLOOR`."""
 
     def __init__(
         self,
         web: Web,
         platforms: Dict[str, SocialPlatform],
         rng: np.random.Generator,
-        learning_rate: float = 0.5,
-        exploration_floor: float = 0.01,
-        **kwargs,
     ) -> None:
-        super().__init__(web, platforms, rng, **kwargs)
-        self.learning_rate = learning_rate
-        self.exploration_floor = exploration_floor
+        super().__init__(web, platforms, rng)
         self.rounds: List[FeedbackRound] = []
 
     # -- feedback -----------------------------------------------------------------
@@ -124,8 +121,8 @@ class AdaptiveAttackerModel(AttackerModel):
         if survival.sum() <= 0:
             return  # everything died: nothing to learn toward
         target = survival / survival.sum()
-        blended = (1.0 - self.learning_rate) * old + self.learning_rate * target
-        blended = np.maximum(blended, self.exploration_floor)
+        blended = (1.0 - LEARNING_RATE) * old + LEARNING_RATE * target
+        blended = np.maximum(blended, EXPLORATION_FLOOR)
         self._provider_probabilities = blended / blended.sum()
 
 
@@ -133,8 +130,6 @@ def run_adaptation_experiment(
     world,
     n_rounds: int = 4,
     launches_per_round: int = 120,
-    survival_horizon_minutes: int = 24 * 60,
-    learning_rate: float = 0.5,
 ) -> List[Dict[str, float]]:
     """Run the migration experiment inside an existing campaign world.
 
@@ -144,8 +139,6 @@ def run_adaptation_experiment(
     attacker = AdaptiveAttackerModel(
         world.web, world.platforms,
         world.rng_factory.child("adaptive.attacker"),
-        learning_rate=learning_rate,
-        twitter_share=world.config.twitter_share,
     )
     shares = [attacker.current_shares()]
     now = 0
@@ -163,7 +156,7 @@ def run_adaptation_experiment(
             if desk is not None:
                 desk.receive_report(attack.site.root_url, now)
         # Let the ecosystem react, then give feedback to the attacker.
-        horizon = now + survival_horizon_minutes
+        horizon = now + SURVIVAL_HORIZON_MINUTES
         world._housekeeping(horizon)
         attacker.observe_round(attacks, horizon)
         shares.append(attacker.current_shares())

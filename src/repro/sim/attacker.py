@@ -13,28 +13,40 @@ The attacker model reproduces the campaign mechanics the paper observed:
 * a parallel stream of self-hosted kit attacks provides the comparison
   population.
 
-The benign-user model posts ordinary FWB customer sites at a configurable
-ratio, supplying the stream's negative class.
+The benign-user model posts ordinary FWB customer sites, supplying the
+stream's negative class.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
+from ..config import TWITTER_SHARE
 from ..simnet.hosting import HostedSite
 from ..simnet.web import Web
-from ..sitegen.brands import BrandCatalog, default_brand_catalog
+from ..sitegen.brands import default_brand_catalog
 from ..sitegen.kits import PhishingKitGenerator
 from ..sitegen.legitimate import LegitimateSiteGenerator
 from ..sitegen.phishing import (
     PhishingSiteGenerator,
-    PhishingSiteSpec,
     PhishingVariant,
 )
 from ..social.platform import SocialPlatform
+
+#: Among two-step/iframe targets, the share hosted on another FWB rather
+#: than a self-hosted domain (§5.5: 174 of 539 on GSites).
+FWB_TARGET_SHARE = 0.32
+
+#: Among FWB-hosted targets, the share that are *themselves* two-step
+#: pages — producing three-hop chains (landing -> relay -> credential
+#: page), the §5.5 "multi-step phishing" escalation.
+DEEP_CHAIN_RATE = 0.25
+
+#: Share of benign FWB posts that go to Twitter.
+BENIGN_TWITTER_SHARE = 0.6
 
 
 @dataclass
@@ -56,25 +68,13 @@ class AttackerModel:
         web: Web,
         platforms: Dict[str, SocialPlatform],
         rng: np.random.Generator,
-        catalog: Optional[BrandCatalog] = None,
-        twitter_share: float = 19724 / 31405,
-        #: Among two-step/iframe targets, the share hosted on another FWB
-        #: rather than a self-hosted domain (§5.5: 174 of 539 on GSites).
-        fwb_target_share: float = 0.32,
-        #: Among FWB-hosted targets, the share that are *themselves*
-        #: two-step pages — producing three-hop chains (landing -> relay ->
-        #: credential page), the §5.5 "multi-step phishing" escalation.
-        deep_chain_rate: float = 0.25,
     ) -> None:
         self.web = web
         self.platforms = platforms
         self.rng = rng
-        self.catalog = catalog if catalog is not None else default_brand_catalog()
-        self.twitter_share = twitter_share
-        self.fwb_target_share = fwb_target_share
-        self.deep_chain_rate = deep_chain_rate
-        self.phishing_generator = PhishingSiteGenerator(catalog=self.catalog)
-        self.kit_generator = PhishingKitGenerator(catalog=self.catalog)
+        catalog = default_brand_catalog()
+        self.phishing_generator = PhishingSiteGenerator(catalog=catalog)
+        self.kit_generator = PhishingKitGenerator(catalog=catalog)
         services = list(web.fwb_providers.values())
         weights = np.asarray(
             [p.service.attacker_weight for p in services], dtype=np.float64
@@ -86,24 +86,24 @@ class AttackerModel:
     # -- helpers -----------------------------------------------------------------
 
     def _pick_platform(self) -> SocialPlatform:
-        name = "twitter" if self.rng.random() < self.twitter_share else "facebook"
+        name = "twitter" if self.rng.random() < TWITTER_SHARE else "facebook"
         return self.platforms[name]
 
     def _external_target(self, brand, now: int, depth: int = 0) -> str:
         """Create the landing page a two-step/iframe attack points at.
 
-        With probability ``deep_chain_rate`` an FWB-hosted target is itself
+        With probability :data:`DEEP_CHAIN_RATE` an FWB-hosted target is itself
         a relay two-step page, yielding a multi-hop chain (bounded at three
         hops total).
         """
-        if self.rng.random() < self.fwb_target_share:
+        if self.rng.random() < FWB_TARGET_SHARE:
             provider = self._providers[
                 int(self.rng.choice(len(self._providers), p=self._provider_probabilities))
             ]
             if provider.service.allows_credential_forms:
                 variant = PhishingVariant.CREDENTIAL
                 target_url = None
-                if depth == 0 and self.rng.random() < self.deep_chain_rate:
+                if depth == 0 and self.rng.random() < DEEP_CHAIN_RATE:
                     variant = PhishingVariant.TWO_STEP
                     target_url = self._external_target(brand, now, depth=1)
                 spec = self.phishing_generator.sample_spec(
@@ -166,12 +166,10 @@ class BenignUserModel:
         web: Web,
         platforms: Dict[str, SocialPlatform],
         rng: np.random.Generator,
-        twitter_share: float = 0.6,
     ) -> None:
         self.web = web
         self.platforms = platforms
         self.rng = rng
-        self.twitter_share = twitter_share
         self.generator = LegitimateSiteGenerator()
         providers = list(web.fwb_providers.values())
         self._providers = providers
@@ -180,7 +178,7 @@ class BenignUserModel:
     def post_benign_site(self, now: int) -> HostedSite:
         provider = self._providers[int(self.rng.integers(len(self._providers)))]
         site = self.generator.create_fwb_site(provider, now, self.rng)
-        name = "twitter" if self.rng.random() < self.twitter_share else "facebook"
+        name = "twitter" if self.rng.random() < BENIGN_TWITTER_SHARE else "facebook"
         platform = self.platforms[name]
         post = platform.publish_url(
             site.root_url, author=f"user-{int(self.rng.integers(1e6))}",

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -37,6 +37,15 @@ from .scenario import HistoricalScenario, QuarterSeries
 
 #: Detection threshold for labelling a URL phishing (§2, citing [71,74,87]).
 VT_PHISHING_THRESHOLD = 2
+
+#: Benign FWB URLs per phishing URL in the raw stream.
+BENIGN_NOISE_RATIO = 0.6
+
+#: Dynamic-DNS phishing per FWB phishing (the out-of-scope mass).
+DYNDNS_RATIO = 0.35
+
+#: Apex-domain URLs (no subdomain) that the SLD filter drops.
+APEX_RATIO = 0.4
 
 #: Subdomain providers that are *not* FWBs (§2 sets these aside; Interisle
 #: tracks them as Dynamic DNS / deployment platforms).
@@ -93,24 +102,10 @@ class D1Dataset:
 class HistoricalPipeline:
     """Generates the two-year stream and runs the §2 labelling pipeline."""
 
-    def __init__(
-        self,
-        web: Optional[Web] = None,
-        scenario: Optional[HistoricalScenario] = None,
-        seed: int = 23,
-        #: Benign FWB URLs per phishing URL in the raw stream.
-        benign_noise_ratio: float = 0.6,
-        #: Dynamic-DNS phishing per FWB phishing (the out-of-scope mass).
-        dyndns_ratio: float = 0.35,
-        #: Apex-domain URLs (no subdomain) that the SLD filter drops.
-        apex_ratio: float = 0.4,
-    ) -> None:
-        self.web = web if web is not None else Web()
-        self.scenario = scenario if scenario is not None else HistoricalScenario(seed=seed)
+    def __init__(self, seed: int = 23) -> None:
+        self.web = Web()
+        self.scenario = HistoricalScenario(seed=seed)
         self.seed = seed
-        self.benign_noise_ratio = benign_noise_ratio
-        self.dyndns_ratio = dyndns_ratio
-        self.apex_ratio = apex_ratio
         self._register_dyndns_providers()
 
     def _register_dyndns_providers(self) -> None:
@@ -172,19 +167,19 @@ class HistoricalPipeline:
                     platform = "twitter" if rng.random() < twitter_share else "facebook"
                     site = phishing_generator.create_site(provider, minute, rng)
                     stream.append(StreamUrl(site.root_url, platform, month))
-                    if rng.random() < self.benign_noise_ratio:
+                    if rng.random() < BENIGN_NOISE_RATIO:
                         benign = benign_generator.create_fwb_site(
                             provider, minute, rng
                         )
                         stream.append(StreamUrl(benign.root_url, platform, month))
-                    if rng.random() < self.dyndns_ratio:
+                    if rng.random() < DYNDNS_RATIO:
                         stream.append(
                             StreamUrl(
                                 self._make_dyndns_phishing(rng, minute),
                                 platform, month,
                             )
                         )
-                    if rng.random() < self.apex_ratio:
+                    if rng.random() < APEX_RATIO:
                         # A link to some apex domain: no SLD, filtered out.
                         stream.append(
                             StreamUrl(

@@ -11,17 +11,20 @@ veteran services and later quarters spread over newly-abused ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List
 
 import numpy as np
 
-from ..simnet.fwb import FWBService, default_fwb_services
+from ..simnet.fwb import default_fwb_services
 
 #: Jan 2020 .. Aug 2022 inclusive = 32 months = 11 quarters (last partial).
 HISTORICAL_MONTHS = 32
 D1_TWITTER_TOTAL = 16_300
 D1_FACEBOOK_TOTAL = 8_900
+
+#: Quarter-over-quarter growth of the attack volume.
+GROWTH_PER_QUARTER = 1.28
 
 #: Quarter in which attackers first abused each service at scale (0 = the
 #: study's first quarter). Veterans from the start; newer platforms later.
@@ -69,18 +72,8 @@ class QuarterSeries:
 class HistoricalScenario:
     """Generates the Figure-1 time series and the D1 URL population."""
 
-    def __init__(
-        self,
-        services: Optional[Sequence[FWBService]] = None,
-        twitter_total: int = D1_TWITTER_TOTAL,
-        facebook_total: int = D1_FACEBOOK_TOTAL,
-        growth_per_quarter: float = 1.28,
-        seed: int = 11,
-    ) -> None:
-        self.services = list(services) if services is not None else default_fwb_services()
-        self.twitter_total = twitter_total
-        self.facebook_total = facebook_total
-        self.growth_per_quarter = growth_per_quarter
+    def __init__(self, seed: int = 11) -> None:
+        self.services = default_fwb_services()
         self.seed = seed
 
     @property
@@ -97,7 +90,7 @@ class HistoricalScenario:
     def _volume_curve(self, total: int, rng: np.random.Generator) -> List[int]:
         """Noisy exponential ramp summing to ``total``."""
         raw = np.array(
-            [self.growth_per_quarter ** q for q in range(self.n_quarters)]
+            [GROWTH_PER_QUARTER ** q for q in range(self.n_quarters)]
         )
         raw = raw * rng.uniform(0.85, 1.15, size=raw.shape)
         raw = raw / raw.sum() * total
@@ -117,8 +110,8 @@ class HistoricalScenario:
 
     def generate(self) -> QuarterSeries:
         rng = np.random.default_rng(self.seed)
-        twitter = self._volume_curve(self.twitter_total, rng)
-        facebook = self._volume_curve(self.facebook_total, rng)
+        twitter = self._volume_curve(D1_TWITTER_TOTAL, rng)
+        facebook = self._volume_curve(D1_FACEBOOK_TOTAL, rng)
         by_fwb: List[Dict[str, int]] = []
         for quarter in range(self.n_quarters):
             total = twitter[quarter] + facebook[quarter]

@@ -17,12 +17,17 @@ workload shape at laptop-friendly sizes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 import numpy as np
 
-from ..config import SeedBank, SimulationConfig
+from ..config import (
+    STREAM_INTERVAL_MINUTES,
+    TAKEDOWN_WINDOW_MINUTES,
+    SeedBank,
+    SimulationConfig,
+)
 from ..core.classifier import FreePhishClassifier
 from ..core.framework import FreePhish
 from ..core.monitor import AnalysisModule, UrlTimeline
@@ -42,6 +47,9 @@ from ..social.facebook import CrowdTangleAPI, FacebookPlatform
 from ..social.twitter import TwitterAPI, TwitterPlatform
 from .attacker import AttackerModel, BenignUserModel
 from .groundtruth import GroundTruthDataset, build_ground_truth
+
+#: Benign FWB posts per phishing post in the streams.
+BENIGN_PER_PHISHING = 1.0
 
 
 @dataclass
@@ -121,7 +129,6 @@ class CampaignWorld:
         # Behaviour models.
         self.attacker = AttackerModel(
             self.web, self.platforms, self.rng_factory.child("attacker"),
-            twitter_share=self.config.twitter_share,
         )
         self.benign_users = BenignUserModel(
             self.web, self.platforms, self.rng_factory.child("benign"),
@@ -139,22 +146,18 @@ class CampaignWorld:
             CrowdTangleAPI(self.facebook),
             instrumentation=self.instr,
         )
-        self.reporting = ReportingModule(
-            self.abuse_desks, self.platforms, instrumentation=self.instr
-        )
+        self.reporting = ReportingModule(self.abuse_desks, instrumentation=self.instr)
         self.analysis = AnalysisModule(
             self.web, self.blocklists, self.virustotal, self.platforms,
-            window_minutes=self.config.monitor_window_minutes,
-            poll_interval=self.config.stream_interval_minutes,
             instrumentation=self.instr,
         )
         self.framework = FreePhish(
-            self.web, self.streaming, self.preprocessor, self.classifier,
-            self.reporting, self.analysis, fwb_only=False,
-            instrumentation=self.instr,
+            self.streaming, self.preprocessor, self.classifier,
+            self.reporting, self.analysis, instrumentation=self.instr,
         )
         self.train_samples_per_class = train_samples_per_class
-        self._ground_truth: Optional[GroundTruthDataset] = None
+        #: Training-corpus size once trained; the corpus itself is dropped.
+        self._ground_truth_size: Optional[int] = None
         #: Ground-truth phishing labels for every URL that entered a stream.
         self.truth: Dict[str, bool] = {}
 
@@ -167,14 +170,14 @@ class CampaignWorld:
             seed=self.rng_factory.child_seed("world.ground_truth"),
         )
         self.classifier.fit_pages(dataset.pages, dataset.labels)
-        self._ground_truth = dataset
+        self._ground_truth_size = len(dataset)
         self.instr.emit("campaign.trained", samples=len(dataset))
         return dataset
 
     # -- campaign loop ------------------------------------------------------------
 
     def _arrivals_per_tick(self) -> float:
-        ticks = self.config.duration_minutes / self.config.stream_interval_minutes
+        ticks = self.config.duration_minutes / STREAM_INTERVAL_MINUTES
         return self.config.target_fwb_phishing / ticks
 
     def _launch_activity(self, now: int, rng: np.random.Generator,
@@ -185,7 +188,7 @@ class CampaignWorld:
         for _ in range(rng.poisson(rate)):
             attack = self.attacker.launch_self_hosted_attack(now)
             self._register_attack(attack, now)
-        for _ in range(rng.poisson(rate * self.config.benign_per_phishing)):
+        for _ in range(rng.poisson(rate * BENIGN_PER_PHISHING)):
             site = self.benign_users.post_benign_site(now)
             self.truth[str(site.root_url)] = False
 
@@ -207,7 +210,7 @@ class CampaignWorld:
         if verbose and self._console_sink is None:
             self._console_sink = ConsoleSink()
             self.instr.events.subscribe(self._console_sink)
-        interval = self.config.stream_interval_minutes
+        interval = STREAM_INTERVAL_MINUTES
         end = self.config.duration_minutes
         self.instr.set_time(0)
         self.instr.emit(
@@ -216,7 +219,7 @@ class CampaignWorld:
             seed=self.config.seed,
             target_fwb_phishing=self.config.target_fwb_phishing,
         )
-        if self._ground_truth is None:
+        if self._ground_truth_size is None:
             self.train_classifier()
         rng = self.rng_factory.child("world.arrivals")
         rate = self._arrivals_per_tick()
@@ -238,14 +241,11 @@ class CampaignWorld:
                 )
         # Let every scheduled action (takedowns, moderation) play out across
         # the monitoring window before resolving timelines.
-        horizon = end + self.config.takedown_window_minutes
+        horizon = end + TAKEDOWN_WINDOW_MINUTES
         self.instr.set_time(horizon)
         self._housekeeping(horizon)
 
-        timelines = self.analysis.resolve_all(
-            truth=self.truth,
-            site_horizon_minutes=self.config.takedown_window_minutes,
-        )
+        timelines = self.analysis.resolve_all(truth=self.truth)
         self.instr.emit(
             "campaign.finished",
             detections=len(self.framework.detections),
@@ -257,7 +257,7 @@ class CampaignWorld:
             timelines=timelines,
             detections=len(self.framework.detections),
             observations=self.framework.observations,
-            ground_truth_size=0 if self._ground_truth is None else len(self._ground_truth),
+            ground_truth_size=self._ground_truth_size,
         )
 
     def _housekeeping(self, now: int) -> None:

@@ -21,7 +21,7 @@ from typing import List, Optional, Protocol, Tuple
 from ..errors import FetchError, SiteRemovedError, URLError
 from ..webdoc import Document, VisualSignature, parse_html, render_signature
 from ..webdoc.dom import is_download_link
-from .hosting import FileAsset, HostedSite
+from .hosting import FileAsset
 from .tls import Certificate
 from .url import URL, parse_url
 from .web import Web

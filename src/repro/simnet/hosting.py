@@ -18,9 +18,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, Optional
 
-from ..errors import DomainTakenError, FetchError, SiteRemovedError, UnknownDomainError
+from ..errors import DomainTakenError, FetchError, UnknownDomainError
 from .dns import DomainRegistry
 from .fwb import FWBService
 from .tls import Certificate, CertificateAuthority

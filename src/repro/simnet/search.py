@@ -14,7 +14,7 @@ it has at least one incoming link (or is explicitly submitted as linked)
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Set
+from typing import Dict, Set
 
 from ..webdoc import parse_html
 from .url import URL

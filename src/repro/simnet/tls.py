@@ -18,7 +18,7 @@ Certification" and "Increased Difficulty of Discovery"):
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, List, Optional, Set
 

@@ -12,8 +12,8 @@ the paper's regex-based extractor would encounter in social-media posts.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Tuple
 
 from ..errors import URLError
 

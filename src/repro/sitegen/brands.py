@@ -16,7 +16,7 @@ a Zipf-like distribution so the head dominates, matching Figure 5's shape.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 

@@ -17,7 +17,6 @@ from typing import List, Optional
 
 import numpy as np
 
-from ..simnet.fwb import FWBService
 from ..simnet.hosting import FWBHostingProvider, HostedSite, SelfHostingProvider
 from ..simnet.web import Web
 from . import names

@@ -18,17 +18,15 @@ credential-field presence) are controlled by :class:`PhishingMixture`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
 from ..errors import ConfigError
 from ..simnet.fwb import FWBService
 from ..simnet.hosting import FileAsset, FWBHostingProvider, HostedSite
-from ..simnet.url import URL
-from ..simnet.web import Web
 from . import names
 from .brands import Brand, BrandCatalog, default_brand_catalog
 from .templates import ContentBlock, PageSpec, TemplateLibrary

@@ -16,13 +16,16 @@ response-time gaps from one mechanism.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from ..errors import ConfigError
-from ..obs.instrument import NULL_INSTRUMENTATION, Instrumentation
+
+#: Minimum effective suspicion: even opaque URLs get occasional user
+#: reports.
+SUSPICION_FLOOR = 0.06
 
 
 @dataclass(frozen=True)
@@ -31,10 +34,6 @@ class ModerationDecision:
 
     will_remove: bool
     delay_minutes: Optional[int]
-
-    @property
-    def removal_offset(self) -> Optional[int]:
-        return self.delay_minutes if self.will_remove else None
 
 
 @dataclass
@@ -50,21 +49,11 @@ class ModerationModel:
         suspicion inflates the delay.
     delay_sigma:
         Log-normal shape parameter for the delay distribution.
-    suspicion_floor:
-        Minimum effective suspicion: even opaque URLs get occasional user
-        reports.
-    instrumentation:
-        Optional observability hook; counts decisions/removals and
-        records the scheduled-delay distribution (sim-time metrics).
     """
 
     base_removal_rate: float = 0.85
     median_delay_minutes: float = 150.0
     delay_sigma: float = 1.2
-    suspicion_floor: float = 0.06
-    instrumentation: Optional[Instrumentation] = field(
-        default=None, compare=False, repr=False
-    )
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.base_removal_rate <= 1.0:
@@ -76,13 +65,7 @@ class ModerationModel:
 
     def decide(self, suspicion: float, rng: np.random.Generator) -> ModerationDecision:
         """Scan outcome for a URL with the given suspicion in [0, 1]."""
-        instr = (
-            self.instrumentation
-            if self.instrumentation is not None
-            else NULL_INSTRUMENTATION
-        )
-        instr.count("moderation.decisions")
-        suspicion = float(np.clip(suspicion, self.suspicion_floor, 1.0))
+        suspicion = float(np.clip(suspicion, SUSPICION_FLOOR, 1.0))
         removal_probability = self.base_removal_rate * suspicion
         if rng.random() >= removal_probability:
             return ModerationDecision(will_remove=False, delay_minutes=None)
@@ -91,8 +74,6 @@ class ModerationModel:
         effective_median = self.median_delay_minutes / max(suspicion, 0.05)
         delay = rng.lognormal(mean=np.log(effective_median), sigma=self.delay_sigma)
         delay_minutes = max(1, int(round(delay)))
-        instr.count("moderation.removals")
-        instr.observe("moderation.delay_minutes", delay_minutes)
         return ModerationDecision(
             will_remove=True, delay_minutes=delay_minutes
         )

@@ -2,14 +2,14 @@
 
 Both platforms support: publishing posts, time-windowed queries (the
 streaming module's poll), per-post liveness checks (the analysis module's
-poll), moderation scheduling, and report-driven removal.
+poll) and moderation scheduling.
 """
 
 from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -18,6 +18,10 @@ from ..obs.instrument import NULL_INSTRUMENTATION, Instrumentation
 from ..simnet.url import URL
 from .moderation import ModerationModel
 from .posts import Post, PostStatus, compose_post_text
+
+#: Fraction of posts whose authors delete them organically; prior work
+#: (§5.4) puts this under 2%, i.e. negligible noise.
+USER_DELETION_RATE = 0.015
 
 
 class SocialPlatform:
@@ -28,15 +32,11 @@ class SocialPlatform:
         name: str,
         moderation: ModerationModel,
         rng: np.random.Generator,
-        #: Fraction of posts whose authors delete them organically; prior
-        #: work (§5.4) puts this under 2%, i.e. negligible noise.
-        user_deletion_rate: float = 0.015,
         instrumentation: Optional[Instrumentation] = None,
     ) -> None:
         self.name = name
         self.moderation = moderation
         self.rng = rng
-        self.user_deletion_rate = user_deletion_rate
         self._posts: Dict[str, Post] = {}
         self._ordered: List[Post] = []
         #: ``created_at`` of each post in ``_ordered``; sorted while posts
@@ -46,11 +46,9 @@ class SocialPlatform:
         self._counter = itertools.count(1)
         #: (post_id, scheduled removal time), applied lazily.
         self._pending_removals: List[tuple] = []
-        instr = (
+        instr = self.instr = (
             instrumentation if instrumentation is not None else NULL_INSTRUMENTATION
         )
-        if moderation.instrumentation is None:
-            moderation.instrumentation = instrumentation
         self._c_scheduled = instr.counter(f"moderation.{name}.scheduled")
         self._c_removals = instr.counter(f"moderation.{name}.removals")
         self._c_user_deletions = instr.counter(f"moderation.{name}.user_deletions")
@@ -86,13 +84,16 @@ class SocialPlatform:
         Schedules removal according to the moderation model; also rolls the
         small organic user-deletion chance.
         """
-        if self.rng.random() < self.user_deletion_rate:
+        if self.rng.random() < USER_DELETION_RATE:
             delay = int(self.rng.integers(60, 7 * 24 * 60))
             self._pending_removals.append((post.post_id, now + delay, True))
             self._c_user_deletions.inc()
             return
+        self.instr.count("moderation.decisions")
         decision = self.moderation.decide(suspicion, self.rng)
-        if decision.will_remove and decision.delay_minutes is not None:
+        if decision.will_remove:
+            self.instr.count("moderation.removals")
+            self.instr.observe("moderation.delay_minutes", decision.delay_minutes)
             self._pending_removals.append(
                 (post.post_id, now + decision.delay_minutes, False)
             )
@@ -119,14 +120,6 @@ class SocialPlatform:
     def _on_platform_removal(self, post: Post) -> None:
         """Hook for platform-specific side effects of a moderation removal
         (Twitter flags the post's URLs for click-through warnings)."""
-
-    def remove_reported(self, post_id: str, now: int) -> bool:
-        """Immediate removal following an external report."""
-        post = self._posts.get(post_id)
-        if post is None or post.status is not PostStatus.LIVE:
-            return False
-        post.remove(now)
-        return True
 
     # -- queries ----------------------------------------------------------------
 

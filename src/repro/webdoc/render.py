@@ -17,7 +17,7 @@ from typing import Union
 
 import numpy as np
 
-from .dom import Document, Element
+from .dom import Document
 from .parser import parse_html
 
 #: Dimensionality of the signature vector.

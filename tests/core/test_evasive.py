@@ -1,7 +1,5 @@
 """§5.5 evasive-vector heuristics."""
 
-import pytest
-
 from repro.core.evasive import EvasiveVector, classify_evasive, has_credential_fields
 from repro.simnet import Browser
 from repro.sitegen.phishing import PhishingVariant

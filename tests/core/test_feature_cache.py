@@ -225,7 +225,7 @@ class TestFrameworkBatching:
         reporting = _StubReporting()
         analysis = _StubAnalysis()
         framework = FreePhish(
-            web, _StubStreaming(observations), Preprocessor(web), classifier,
+            _StubStreaming(observations), Preprocessor(web), classifier,
             reporting, analysis,
         )
         fresh = framework.step(now=10)
@@ -257,7 +257,7 @@ class TestFrameworkBatching:
         classifier.fit_pages(ground_truth.pages, ground_truth.labels)
         instr = Instrumentation()
         framework = FreePhish(
-            web, _StubStreaming(observations), Preprocessor(web), classifier,
+            _StubStreaming(observations), Preprocessor(web), classifier,
             _StubReporting(), _StubAnalysis(), instrumentation=instr,
         )
         framework.step(now=10)

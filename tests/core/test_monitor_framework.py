@@ -1,8 +1,5 @@
 """Analysis module timelines, framework orchestration, extension guard."""
 
-import numpy as np
-import pytest
-
 from repro.core.extension import FreePhishExtension, NavigationVerdict
 from repro.core.monitor import VT_SAMPLE_OFFSETS, UrlTimeline, _round_up_to_poll
 

@@ -12,7 +12,6 @@ from repro.core.reporting import ReportingModule
 from repro.ecosystem.takedown import AbuseDesk
 from repro.errors import NotFittedError, StreamError
 from repro.ml import RandomForestClassifier
-from repro.simnet import Browser, Web
 from repro.simnet.url import parse_url
 from repro.social import (
     CrowdTangleAPI,
@@ -144,7 +143,7 @@ class TestReporting:
     def test_report_reaches_abuse_desk(self, web, phishing_generator, rng):
         twitter = TwitterPlatform(rng)
         desk = AbuseDesk(web.fwb_providers["weebly"], web, rng)
-        reporting = ReportingModule({"weebly": desk}, {"twitter": twitter})
+        reporting = ReportingModule({"weebly": desk})
         site = phishing_generator.create_site(web.fwb_providers["weebly"], 0, rng)
         post = twitter.publish_url(site.root_url, "attacker", 5, phishing=True)
 
@@ -167,7 +166,7 @@ class TestReporting:
             "weebly": AbuseDesk(web.fwb_providers["weebly"], web, rng),
             "wordpress": AbuseDesk(web.fwb_providers["wordpress"], web, rng),
         }
-        reporting = ReportingModule(desks, {"twitter": twitter})
+        reporting = ReportingModule(desks)
         pre = Preprocessor(web)
         from repro.core.streaming import StreamObservation
 

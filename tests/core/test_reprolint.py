@@ -57,7 +57,7 @@ class TestGateCatchesViolations:
 
     CASES = {
         "RP101": "import time\nt = time.time()\n",
-        "RP201": "import requests\n",
+        "RP201": "import requests\nrequests.get\n",
         "RP302": "def f(rng):\n    return rng\n",
         "RP403": "def f(x):\n    assert x\n",
     }

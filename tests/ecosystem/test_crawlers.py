@@ -1,6 +1,5 @@
 """CT-log and search-index discovery crawlers (§3 blind-spot mechanism)."""
 
-import numpy as np
 import pytest
 
 from repro.ecosystem.crawlers import (

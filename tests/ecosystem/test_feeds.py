@@ -1,6 +1,5 @@
 """Blocklist feed-sharing network and the sharing policy experiment."""
 
-import numpy as np
 import pytest
 
 from repro.ecosystem import IntelService, default_blocklists

@@ -10,7 +10,7 @@ from repro.ecosystem.intel import (
     gather_intel,
     suspicion_score,
 )
-from repro.simnet import Browser, Web
+from repro.simnet import Browser
 from repro.simnet.url import parse_url
 from repro.sitegen import (
     LegitimateSiteGenerator,

@@ -6,8 +6,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
 from repro.lint import RULES, RULES_BY_ID, Severity, select_rules
 from repro.lint.cli import main
 from repro.lint.report import (

@@ -25,7 +25,9 @@ class TestRP101WallClock:
         assert rule_ids(lint_snippet(source)) == ["RP101", "RP101"]
 
     def test_from_time_import_flagged(self):
-        assert rule_ids(lint_snippet("from time import perf_counter\n")) == ["RP101"]
+        assert rule_ids(lint_snippet(
+            "from time import perf_counter\nperf_counter\n"
+        )) == ["RP101"]
 
     def test_clean_simulated_clock(self):
         source = "def step(now: int) -> int:\n    return now + 10\n"
@@ -38,10 +40,10 @@ class TestRP101WallClock:
 
 class TestRP102StdlibRandom:
     def test_import_random_flagged(self):
-        assert rule_ids(lint_snippet("import random\n")) == ["RP102"]
+        assert rule_ids(lint_snippet("import random\nrandom\n")) == ["RP102"]
 
     def test_from_random_import_flagged(self):
-        assert rule_ids(lint_snippet("from random import choice\n")) == ["RP102"]
+        assert rule_ids(lint_snippet("from random import choice\nchoice\n")) == ["RP102"]
 
     def test_random_call_flagged(self):
         source = "import random as r\nx = random.random()\n"
@@ -49,7 +51,7 @@ class TestRP102StdlibRandom:
         assert "RP102" in rule_ids(lint_snippet(source))
 
     def test_tests_may_use_stdlib_random(self):
-        assert rule_ids(lint_snippet("import random\n", scope="tests")) == []
+        assert rule_ids(lint_snippet("import random\nrandom\n", scope="tests")) == []
 
     def test_numpy_random_attribute_not_confused(self):
         source = (
@@ -98,7 +100,7 @@ class TestRP104LegacyNumpyRandom:
         ]
 
     def test_import_of_legacy_name_flagged(self):
-        source = "from numpy.random import randint\n"
+        source = "from numpy.random import randint\nrandint\n"
         assert rule_ids(lint_snippet(source)) == ["RP104"]
 
     def test_modern_api_is_clean(self):

@@ -1,6 +1,7 @@
-"""RP4xx hygiene rules: mutable defaults, bare except, library asserts."""
+"""RP4xx hygiene rules: mutable defaults, bare except, library asserts,
+unused imports."""
 
-from repro.lint import Severity
+from repro.lint import ProjectContext, Severity
 
 from .snippets import lint_snippet, rule_ids
 
@@ -70,3 +71,95 @@ class TestRP403LibraryAssert:
             "    return x\n"
         )
         assert rule_ids(lint_snippet(source)) == []
+
+
+class TestRP404UnusedImport:
+    def test_unused_import_flagged_in_all_scopes(self):
+        source = "import os\n"
+        for scope in ("library", "tests", "examples", "benchmarks"):
+            report = lint_snippet(source, scope=scope)
+            assert rule_ids(report) == ["RP404"], scope
+            assert report.findings[0].severity is Severity.WARNING
+
+    def test_only_the_unused_name_is_flagged(self):
+        source = (
+            "from typing import Dict, List\n"
+            "TABLE: Dict[str, int] = {}\n"
+        )
+        report = lint_snippet(source)
+        assert rule_ids(report) == ["RP404"]
+        assert "'List'" in report.findings[0].message
+
+    def test_aliased_and_dotted_imports_bind_their_names(self):
+        source = (
+            "import numpy as np\n"
+            "import os.path\n"
+            "from typing import Optional as Opt\n"
+        )
+        report = lint_snippet(source)
+        assert sorted(f.message.split("'")[1] for f in report.findings) == [
+            "Opt", "np", "os",
+        ]
+
+    def test_used_names_are_clean(self):
+        source = (
+            "import os.path\n"
+            "from typing import List\n"
+            "from .models import Page\n"
+            "def f(pages: List['Page']) -> str:\n"
+            "    return os.path.join(*pages)\n"
+        )
+        assert rule_ids(lint_snippet(source)) == []
+
+    def test_string_annotation_counts_as_use(self):
+        source = (
+            "from .config import SimulationConfig\n"
+            "def scaled() -> 'SimulationConfig':\n"
+            "    return None\n"
+        )
+        assert rule_ids(lint_snippet(source)) == []
+
+    def test_all_future_and_init_exempt(self):
+        source = (
+            "from __future__ import annotations\n"
+            "from .attacker import AttackerModel\n"
+            "__all__ = ['AttackerModel']\n"
+        )
+        assert rule_ids(lint_snippet(source)) == []
+        reexports = "from .attacker import AttackerModel\n"
+        assert rule_ids(
+            lint_snippet(reexports, path="src/repro/sim/__init__.py")
+        ) == []
+
+    def test_function_level_imports_not_checked(self):
+        source = "def f():\n    import os\n"
+        assert rule_ids(lint_snippet(source)) == []
+
+    def test_name_imported_by_another_module_is_a_reexport(self, tmp_path):
+        importer = tmp_path / "src" / "repro" / "sim" / "world.py"
+        importer.parent.mkdir(parents=True)
+        source = "from ..config import SeedBank\n"
+        alone = lint_snippet(
+            source, path="src/repro/sim/base.py",
+            project=ProjectContext(project_root=tmp_path),
+        )
+        assert rule_ids(alone) == ["RP404"]
+
+        importer.write_text("from .base import SeedBank\n")
+        reexported = lint_snippet(
+            source, path="src/repro/sim/base.py",
+            project=ProjectContext(project_root=tmp_path),
+        )
+        assert rule_ids(reexported) == []
+
+    def test_bare_sibling_import_is_a_reexport(self, tmp_path):
+        """Benchmarks import their helpers by bare module name."""
+        (tmp_path / "benchmarks").mkdir()
+        (tmp_path / "benchmarks" / "bench_x.py").write_text(
+            "from conftest import emit\n"
+        )
+        report = lint_snippet(
+            "from repro.obs import emit\n", path="benchmarks/conftest.py",
+            project=ProjectContext(project_root=tmp_path),
+        )
+        assert rule_ids(report) == []

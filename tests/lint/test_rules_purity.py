@@ -5,28 +5,33 @@ from .snippets import lint_snippet, rule_ids
 
 class TestRP201ForbiddenImport:
     def test_requests_flagged(self):
-        assert rule_ids(lint_snippet("import requests\n")) == ["RP201"]
+        assert rule_ids(lint_snippet("import requests\nrequests.get\n")) == ["RP201"]
 
     def test_socket_and_subprocess_flagged(self):
-        source = "import socket\nimport subprocess\n"
+        source = "import socket\nimport subprocess\nused = socket, subprocess\n"
         assert rule_ids(lint_snippet(source)) == ["RP201", "RP201"]
 
     def test_urllib_request_flagged_but_parse_allowed(self):
-        assert rule_ids(lint_snippet("import urllib.request\n")) == ["RP201"]
-        assert rule_ids(lint_snippet("from urllib.request import urlopen\n")) == ["RP201"]
-        assert rule_ids(lint_snippet("from urllib import request\n")) == ["RP201"]
-        assert rule_ids(lint_snippet("from urllib.parse import urlsplit\n")) == []
+        assert rule_ids(lint_snippet("import urllib.request\nurllib.request\n")) == ["RP201"]
+        assert rule_ids(lint_snippet("from urllib.request import urlopen\nurlopen\n")) == ["RP201"]
+        assert rule_ids(lint_snippet("from urllib import request\nrequest\n")) == ["RP201"]
+        assert rule_ids(lint_snippet("from urllib.parse import urlsplit\nurlsplit\n")) == []
 
     def test_http_client_flagged(self):
-        assert rule_ids(lint_snippet("from http.client import HTTPConnection\n")) == ["RP201"]
+        assert rule_ids(lint_snippet(
+            "from http.client import HTTPConnection\nHTTPConnection\n"
+        )) == ["RP201"]
 
     def test_tests_may_use_subprocess(self):
-        assert rule_ids(lint_snippet("import subprocess\n", scope="tests")) == []
+        assert rule_ids(lint_snippet(
+            "import subprocess\nsubprocess.run\n", scope="tests"
+        )) == []
 
     def test_simnet_style_imports_clean(self):
         source = (
             "from repro.simnet.web import Web\n"
             "from repro.simnet.browser import Browser\n"
+            "used = Web, Browser\n"
         )
         assert rule_ids(lint_snippet(source)) == []
 

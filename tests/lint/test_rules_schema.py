@@ -2,8 +2,6 @@
 
 from pathlib import Path
 
-import pytest
-
 from repro.lint import ProjectContext
 from repro.lint.project import ClassInfo
 

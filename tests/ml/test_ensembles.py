@@ -57,6 +57,14 @@ class TestCommonBehaviour:
         b = factory().fit(Xtr, ytr).predict(Xtr)
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("width", [5, 7])
+    @pytest.mark.parametrize("method", ["predict_proba", "predict_proba_reference"])
+    def test_rejects_wrong_width(self, name, factory, width, method):
+        Xtr, _Xte, ytr, _yte = _nonlinear_data(200)
+        model = factory().fit(Xtr, ytr)
+        with pytest.raises(TrainingError, match="expected 6 features"):
+            getattr(model, method)(np.zeros((2, width)))
+
     def test_predict_before_fit(self, name, factory):
         with pytest.raises(NotFittedError):
             factory().predict(np.zeros((2, 6)))

@@ -14,7 +14,6 @@ import pytest
 from repro.config import SeedBank
 from repro.errors import TrainingError
 from repro.ml import (
-    FlatForest,
     GradientBoostingClassifier,
     LightGBMClassifier,
     RandomForestClassifier,

@@ -1,7 +1,6 @@
 """LightGBM internals: the binner and leaf-wise tree growth."""
 
 import numpy as np
-import pytest
 
 from repro.ml.lgbm import _Binner, _LGBMTree, LightGBMClassifier
 

@@ -1,11 +1,12 @@
 """Adaptive attacker: migration toward poorly-policed FWBs."""
 
-import numpy as np
 import pytest
 
 from repro.config import SimulationConfig
 from repro.sim import CampaignWorld
+from repro.sim import adaptive
 from repro.sim.adaptive import (
+    EXPLORATION_FLOOR,
     AdaptiveAttackerModel,
     FeedbackRound,
     run_adaptation_experiment,
@@ -32,23 +33,20 @@ class TestFeedbackMechanics:
             "twitter": TwitterPlatform(rng),
             "facebook": FacebookPlatform(rng),
         }
-        return AdaptiveAttackerModel(web, platforms, rng, learning_rate=0.8)
+        return AdaptiveAttackerModel(web, platforms, rng)
 
-    def test_shares_always_normalized(self, rng):
+    def test_shares_always_normalized(self, rng, monkeypatch):
+        monkeypatch.setattr(adaptive, "LEARNING_RATE", 0.8)
         attacker = self._attacker(rng)
         attacks = [attacker.launch_fwb_attack(now=i * 10) for i in range(80)]
         attacker.observe_round(attacks, now=2000)
         shares = attacker.current_shares()
         assert abs(sum(shares.values()) - 1.0) < 1e-9
-        assert all(v >= attacker.exploration_floor / 2 for v in shares.values())
+        assert all(v >= EXPLORATION_FLOOR / 2 for v in shares.values())
 
-    def test_zero_learning_rate_is_static(self, rng):
-        web = Web()
-        platforms = {
-            "twitter": TwitterPlatform(rng),
-            "facebook": FacebookPlatform(rng),
-        }
-        attacker = AdaptiveAttackerModel(web, platforms, rng, learning_rate=0.0)
+    def test_zero_learning_rate_is_static(self, rng, monkeypatch):
+        monkeypatch.setattr(adaptive, "LEARNING_RATE", 0.0)
+        attacker = self._attacker(rng)
         before = attacker.current_shares()
         attacks = [attacker.launch_fwb_attack(now=i * 10) for i in range(50)]
         attacker.observe_round(attacks, now=2000)

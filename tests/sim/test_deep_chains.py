@@ -1,25 +1,24 @@
 """Multi-hop two-step chains (the §5.5 escalation)."""
 
-import numpy as np
 import pytest
 
 from repro.core.evasive import EvasiveVector, classify_evasive
-from repro.sim import AttackerModel
+from repro.sim import AttackerModel, attacker as attacker_module
 from repro.simnet import Browser, Web
 from repro.simnet.url import parse_url
 from repro.social import FacebookPlatform, TwitterPlatform
 
 
 @pytest.fixture()
-def deep_world(rng):
+def deep_world(rng, monkeypatch):
+    monkeypatch.setattr(attacker_module, "FWB_TARGET_SHARE", 1.0)
+    monkeypatch.setattr(attacker_module, "DEEP_CHAIN_RATE", 1.0)
     web = Web()
     platforms = {
         "twitter": TwitterPlatform(rng),
         "facebook": FacebookPlatform(rng),
     }
-    attacker = AttackerModel(
-        web, platforms, rng, fwb_target_share=1.0, deep_chain_rate=1.0
-    )
+    attacker = AttackerModel(web, platforms, rng)
     return web, attacker
 
 
@@ -74,7 +73,7 @@ class TestDeepChains:
 
     def test_depth_bounded(self, deep_world):
         web, attacker = deep_world
-        # Even at deep_chain_rate=1.0 recursion stops after one relay.
+        # Even at DEEP_CHAIN_RATE = 1.0 recursion stops after one relay.
         for _ in range(40):
             attacker.launch_fwb_attack(now=int(attacker.rng.integers(10 ** 6)))
         depths = [

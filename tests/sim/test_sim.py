@@ -21,15 +21,12 @@ class TestConfig:
     def test_validation(self):
         with pytest.raises(ConfigError):
             SimulationConfig(duration_days=0)
-        with pytest.raises(ConfigError):
-            SimulationConfig(twitter_share=1.5)
 
     def test_scaled_preserves_shape(self):
         config = SimulationConfig()
         small = config.scaled(0.01)
         assert small.duration_days == 1
         assert small.target_fwb_phishing == 314
-        assert small.twitter_share == config.twitter_share
         with pytest.raises(ConfigError):
             config.scaled(0.0)
 

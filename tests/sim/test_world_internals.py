@@ -1,10 +1,14 @@
-"""CampaignWorld internals: arrival rates, housekeeping, bookkeeping."""
+"""CampaignWorld internals: arrival rates, housekeeping, bookkeeping,
+retention."""
 
-import numpy as np
+import gc
+import weakref
+
 import pytest
 
-from repro.config import SimulationConfig
+from repro.config import TAKEDOWN_WINDOW_MINUTES, SimulationConfig
 from repro.sim import CampaignWorld
+from repro.webdoc import Document
 
 
 @pytest.fixture(scope="module")
@@ -41,7 +45,7 @@ class TestBookkeeping:
 
     def test_housekeeping_idempotent(self, world_and_result):
         world, _result = world_and_result
-        horizon = world.config.duration_minutes + world.config.takedown_window_minutes
+        horizon = world.config.duration_minutes + TAKEDOWN_WINDOW_MINUTES
         removed_before = sum(
             1 for site in world.web.iter_sites() if site.removed_at is not None
         )
@@ -53,8 +57,8 @@ class TestBookkeeping:
 
     def test_ground_truth_trained_once(self, world_and_result):
         world, result = world_and_result
-        assert world._ground_truth is not None
-        assert result.ground_truth_size == len(world._ground_truth)
+        assert world._ground_truth_size == 2 * world.train_samples_per_class
+        assert result.ground_truth_size == world._ground_truth_size
 
     def test_linked_only_sites_not_tracked(self, world_and_result):
         """Two-step targets exist on the web but never enter the dataset
@@ -64,3 +68,31 @@ class TestBookkeeping:
         for site in world.web.iter_sites():
             if site.metadata.get("linked_only"):
                 assert str(site.root_url) not in tracked
+
+
+class TestRetention:
+    def test_only_the_page_store_keeps_documents(self, monkeypatch):
+        """A finished campaign keeps parsed documents only in the page
+        store's LRU: detections and the training corpus hold none."""
+        import repro.core.preprocess as preprocess_module
+
+        monkeypatch.setattr(preprocess_module, "PAGE_CACHE_SIZE", 16)
+        # Documents other fixtures keep alive are not the campaign's.
+        gc.collect()
+        before = {
+            id(obj): weakref.ref(obj)
+            for obj in gc.get_objects() if isinstance(obj, Document)
+        }
+        world = CampaignWorld(
+            SimulationConfig(seed=5, duration_days=1, target_fwb_phishing=40),
+            train_samples_per_class=20,
+        )
+        result = world.run()
+        assert result.detections > 0
+        gc.collect()
+        alive = [
+            obj for obj in gc.get_objects()
+            if isinstance(obj, Document)
+            and (id(obj) not in before or before[id(obj)]() is not obj)
+        ]
+        assert len(alive) <= 16

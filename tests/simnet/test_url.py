@@ -4,7 +4,6 @@ import pytest
 
 from repro.errors import URLError
 from repro.simnet.url import (
-    URL,
     URLStringStats,
     count_sensitive_words,
     count_suspicious_symbols,

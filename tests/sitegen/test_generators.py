@@ -1,6 +1,5 @@
 """Site generators: templates, benign sites, phishing sites, kits."""
 
-import numpy as np
 import pytest
 
 from repro.sitegen import (
@@ -11,7 +10,6 @@ from repro.sitegen import (
     TemplateLibrary,
 )
 from repro.sitegen.phishing import PhishingMixture
-from repro.simnet import Web
 from repro.simnet.fwb import fwb_by_name
 from repro.webdoc import parse_html
 

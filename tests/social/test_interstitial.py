@@ -1,6 +1,5 @@
 """Twitter's click-through warning interstitial (Figure 10)."""
 
-import numpy as np
 import pytest
 
 from repro.simnet.url import parse_url

@@ -14,6 +14,7 @@ from repro.social import (
     TwitterAPI,
     TwitterPlatform,
 )
+from repro.social import moderation
 from repro.social.posts import compose_post_text
 
 
@@ -76,8 +77,9 @@ class TestModerationModel:
         with pytest.raises(ConfigError):
             ModerationModel(median_delay_minutes=0)
 
-    def test_suspicion_floor(self):
-        model = ModerationModel(base_removal_rate=1.0, suspicion_floor=0.5)
+    def test_suspicion_floor(self, monkeypatch):
+        monkeypatch.setattr(moderation, "SUSPICION_FLOOR", 0.5)
+        model = ModerationModel(base_removal_rate=1.0)
         rng = np.random.default_rng(1)
         decisions = [model.decide(0.0, rng) for _ in range(200)]
         assert np.mean([d.will_remove for d in decisions]) > 0.3
@@ -144,12 +146,6 @@ class TestPlatform:
         twitter._pending_removals.append((post.post_id, 100, False))
         assert twitter.is_post_live(post.post_id, 50)
         assert not twitter.is_post_live(post.post_id, 150)
-
-    def test_remove_reported(self, twitter):
-        post = twitter.publish("x", "a", now=0)
-        assert twitter.remove_reported(post.post_id, now=10)
-        assert not twitter.remove_reported(post.post_id, now=11)
-        assert twitter.remove_reported("missing", now=1) is False
 
 
 class TestAPIs:

@@ -9,7 +9,6 @@ from repro.analysis import build_fig9, build_table1, build_table3, build_table4
 from repro.analysis.export import (
     figure_to_dict,
     table_to_dicts,
-    timelines_to_rows,
     write_figure_csv,
     write_figure_json,
     write_table_json,

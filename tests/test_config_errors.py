@@ -7,6 +7,7 @@ import repro
 from repro import errors
 from repro.config import (
     DEFAULT_SEED,
+    TWITTER_SHARE,
     SeedBank,
     SimulationConfig,
     hhmm_to_minutes,
@@ -79,7 +80,7 @@ class TestSimulationConfig:
         config = SimulationConfig()
         assert config.duration_days == 180
         assert config.target_fwb_phishing == 31405
-        assert abs(config.twitter_share - 19724 / 31405) < 1e-12
+        assert abs(TWITTER_SHARE - 19724 / 31405) < 1e-12
         assert config.stream_interval_minutes == 10
 
     def test_duration_minutes(self):

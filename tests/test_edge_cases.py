@@ -1,10 +1,9 @@
 """Edge-case coverage across modules: error paths and boundary behaviour."""
 
-import numpy as np
 import pytest
 
 from repro.errors import ConfigError, FetchError, ReportingError
-from repro.simnet import Browser, Web
+from repro.simnet import Browser
 from repro.simnet.hosting import FileAsset, HostedSite, SiteStatus
 from repro.simnet.url import parse_url
 from repro.sitegen.templates import ContentBlock, PageSpec, TemplateLibrary
@@ -96,7 +95,7 @@ class TestReportingEdges:
         from repro.social import TwitterPlatform
 
         twitter = TwitterPlatform(rng)
-        reporting = ReportingModule({}, {"twitter": twitter})
+        reporting = ReportingModule({})
         site = phishing_generator.create_site(web.fwb_providers["weebly"], 0, rng)
         post = twitter.publish_url(site.root_url, "a", 0, phishing=True)
         observation = StreamObservation(site.root_url, post, "twitter", 0, "weebly")
@@ -110,28 +109,12 @@ class TestReportingEdges:
         from repro.social import TwitterPlatform
 
         twitter = TwitterPlatform(rng)
-        reporting = ReportingModule({}, {"twitter": twitter})
+        reporting = ReportingModule({})
         site = kit_generator.create_site(web.self_hosting, 0, rng)
         post = twitter.publish_url(site.root_url, "a", 0, phishing=True)
         observation = StreamObservation(site.root_url, post, "twitter", 0, None)
         report = reporting.report(observation, None, now=0)
         assert report.fwb_outcome is None
-
-    def test_platform_report_action_rate(self, web, rng, kit_generator):
-        from repro.core.reporting import ReportingModule
-        from repro.core.streaming import StreamObservation
-        from repro.social import TwitterPlatform
-
-        twitter = TwitterPlatform(rng)
-        reporting = ReportingModule(
-            {}, {"twitter": twitter}, platform_report_action_rate=1.0
-        )
-        site = kit_generator.create_site(web.self_hosting, 0, rng)
-        post = twitter.publish_url(site.root_url, "a", 0, phishing=True)
-        observation = StreamObservation(site.root_url, post, "twitter", 0, None)
-        report = reporting.report(observation, None, now=5)
-        assert report.platform_actioned
-        assert not twitter.is_post_live(post.post_id, 6)
 
 
 class TestEvasiveThreshold:

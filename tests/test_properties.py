@@ -1,11 +1,9 @@
 """Property-based tests (hypothesis) on core data structures and invariants."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.config import hhmm_to_minutes, minutes_to_hhmm
-from repro.errors import URLError
 from repro.ml import DecisionTreeRegressor
 from repro.ml.metrics import accuracy_score, confusion_matrix, f1_score
 from repro.simnet.url import URL, extract_urls, parse_url

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ParseError
-from repro.webdoc import Element, TextNode, parse_html
+from repro.webdoc import Element, parse_html
 
 
 class TestParser:

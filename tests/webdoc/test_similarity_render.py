@@ -1,6 +1,5 @@
 """Levenshtein/Appendix-A similarity and visual-signature rendering."""
 
-import numpy as np
 import pytest
 
 from repro.webdoc import (

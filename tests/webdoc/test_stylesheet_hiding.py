@@ -1,6 +1,5 @@
 """Stylesheet-based element hiding (the stealthier banner obfuscation)."""
 
-import numpy as np
 import pytest
 
 from repro.core.features import FeatureExtractor
