@@ -2,8 +2,7 @@
 
 ``FreePhish.step`` executes one 10-minute cycle: poll both social streams,
 snapshot and featurize every new URL, classify, report the positives to the
-hosting service and the platform, and enrol them in longitudinal
-monitoring. :class:`~repro.sim.world.CampaignWorld` drives the cycle.
+hosting service, and enrol them in longitudinal monitoring. :class:`~repro.sim.world.CampaignWorld` drives the cycle.
 
 Every stage writes ``framework.*`` and ``classify.batch.*`` counters to
 the :mod:`repro.obs` instrumentation layer. Telemetry is output-only: the
@@ -105,7 +104,7 @@ class FreePhish:
             self._c_batch_rows.inc(len(pages))
             self._h_batch_size.observe(len(pages))
 
-        for observation, page, prediction in zip(kept, pages, predictions):
+        for observation, prediction in zip(kept, predictions):
             if prediction.label != 1:
                 continue
             record = DetectionRecord(
@@ -123,7 +122,7 @@ class FreePhish:
                 fwb=observation.fwb_name,
                 probability=round(float(prediction.probability), 6),
             )
-            self.reporting.report(observation, page, now)
+            self.reporting.report(observation, now)
             self._c_reports_filed.inc()
             self.analysis.track(observation)
         return fresh

@@ -1,9 +1,9 @@
 """Reporting module (paper §4.3).
 
 URLs the classifier flags as phishing are reported immediately to the
-hosting FWB service's abuse desk. Reports carry the evidence bundle the
-paper describes — full URL, screenshot (visual signature), and the spoofed
-organization — since evidence-backed reports are actioned faster. The
+hosting FWB service's abuse desk. The paper's reports carry an evidence
+bundle (full URL, screenshot, spoofed organization); the simulated abuse
+desk acts on the URL alone, so that is what a report files. The
 record names the social platform and post the URL was found on, but a
 platform takes no direct action on a report: the post rides the
 platform's own moderation pipeline
@@ -20,7 +20,6 @@ from typing import Dict, List, Optional
 from ..ecosystem.takedown import AbuseDesk, ReportOutcome, TakedownTicket
 from ..errors import ReportingError
 from ..obs.instrument import NULL_INSTRUMENTATION, Instrumentation
-from .preprocess import ProcessedPage
 from .streaming import StreamObservation
 
 
@@ -33,7 +32,6 @@ class AbuseReport:
     platform: str
     post_id: str
     reported_at: int
-    spoofed_brand: Optional[str]
     fwb_outcome: Optional[ReportOutcome] = None
 
 
@@ -53,24 +51,14 @@ class ReportingModule:
         self._c_filed = instr.counter("reporting.filed")
         self._c_fwb = instr.counter("reporting.fwb_reports")
 
-    def report(
-        self,
-        observation: StreamObservation,
-        page: Optional[ProcessedPage],
-        now: int,
-    ) -> AbuseReport:
+    def report(self, observation: StreamObservation, now: int) -> AbuseReport:
         """Report one detected phishing URL everywhere it should go."""
-        brand = None
-        if page is not None:
-            title = page.snapshot.document.title
-            brand = title.split(" - ")[0].lower() if title else None
         report = AbuseReport(
             url=str(observation.url),
             fwb_name=observation.fwb_name,
             platform=observation.platform,
             post_id=observation.post.post_id,
             reported_at=now,
-            spoofed_brand=brand,
         )
         if observation.fwb_name is not None:
             desk = self.abuse_desks.get(observation.fwb_name)

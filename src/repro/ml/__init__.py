@@ -5,7 +5,8 @@ The paper's classification module (§4.2) stacks three boosted-tree learners
 (2019), and the FreePhish pipeline also uses a Random Forest. This package
 provides those learners:
 
-* :mod:`repro.ml.tree` — CART regression/classification trees;
+* :mod:`repro.ml.tree` — the tree node and reference walk every ensemble
+  shares, and CART regression/classification trees;
 * :mod:`repro.ml.boosting` — classic gradient-boosted trees (GBDT), and
   ``BoostedTrees``, the predict surface all three boosters share;
 * :mod:`repro.ml.xgb` — second-order, regularized boosting (XGBoost-style);
@@ -26,7 +27,7 @@ from .boosting import GradientBoostingClassifier
 from .xgb import XGBoostClassifier
 from .lgbm import LightGBMClassifier
 from .forest import RandomForestClassifier
-from .stacking import StackingClassifier, StackModel
+from .stacking import StackModel
 from .metrics import (
     accuracy_score,
     precision_score,
@@ -46,7 +47,6 @@ __all__ = [
     "XGBoostClassifier",
     "LightGBMClassifier",
     "RandomForestClassifier",
-    "StackingClassifier",
     "StackModel",
     "accuracy_score",
     "precision_score",

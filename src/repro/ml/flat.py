@@ -1,14 +1,15 @@
 """Flattened tree-ensemble inference (treelite/sklearn-style).
 
-Every ensemble in this package stores its trees as linked node objects and
-predicts by routing index partitions through them in Python — fine for one
-tree, but a 40-tree forest walks 40 object graphs per call. The
-:class:`FlatForest` compiler converts a *fitted* ensemble into five parallel
-numpy arrays (feature index, threshold, left child, right child, leaf
-value) and evaluates whole batches with **vectorized level-order descent**:
-all rows of all trees advance one level per iteration, so a batch costs
-``max_depth`` fused gather/compare/select passes instead of a Python loop
-per node.
+Every ensemble in this package stores its trees as linked
+:class:`~repro.ml.tree._Node` objects, and the reference walk
+(:func:`~repro.ml.tree.predict_tree`) routes index partitions through them
+in Python — fine for one tree, but a 40-tree forest walks 40 object graphs
+per call. The :class:`FlatForest` compiler converts a *fitted* ensemble
+into five parallel numpy arrays (feature index, threshold, left child,
+right child, leaf value) and evaluates whole batches with **vectorized
+level-order descent**: all rows of all trees advance one level per
+iteration, so a batch costs ``max_depth`` fused gather/compare/select
+passes instead of a Python loop per node.
 
 Equivalence contract
 --------------------
@@ -26,9 +27,6 @@ The flat path must be **bit-identical** to the per-row reference walk:
   keep the reference's *sequential* order (``raw += lr * tree_t`` for
   t = 0, 1, ...) — never a pairwise ``values.sum(axis=0)``, which would
   change floating-point results.
-
-The compiler accepts any node shape used in this package: ``tree._Node``,
-``xgb._XGBNode`` (``threshold``) and ``lgbm._Leaf`` (``threshold_bin``).
 """
 
 from __future__ import annotations
@@ -43,20 +41,6 @@ from ..errors import TrainingError
 def sigmoid(z: np.ndarray) -> np.ndarray:
     """Logistic link of the boosters, clipped so ``exp`` cannot overflow."""
     return 1.0 / (1.0 + np.exp(-np.clip(z, -35.0, 35.0)))
-
-
-def _node_threshold(node) -> float:
-    """Split threshold for an internal node of any supported shape.
-
-    LightGBM's pre-binned ``_Leaf`` nodes carry an integer ``threshold_bin``
-    instead of a raw-space ``threshold``; small bin indices are exact in
-    float64, so ``binned <= threshold`` compares identically to the
-    reference's integer comparison.
-    """
-    threshold = getattr(node, "threshold", None)
-    if threshold is not None:
-        return float(threshold)
-    return float(node.threshold_bin)
 
 
 class FlatForest:
@@ -103,12 +87,7 @@ class FlatForest:
     def from_trees(
         cls, tree_roots: Sequence[object], n_features: Optional[int] = None
     ) -> "FlatForest":
-        """Compile a list of fitted tree root nodes into one flat forest.
-
-        Supports every node shape in this package: leaves are detected via
-        ``left is None``; internal thresholds come from ``threshold`` or,
-        for pre-binned LightGBM trees, ``threshold_bin``.
-        """
+        """Compile a list of fitted tree root nodes into one flat forest."""
         if not tree_roots:
             raise TrainingError("cannot flatten an empty ensemble")
         features: List[int] = []
@@ -143,7 +122,7 @@ class FlatForest:
                     values.append(float(node.value))
                     continue
                 features.append(int(node.feature))
-                thresholds.append(_node_threshold(node))
+                thresholds.append(float(node.threshold))
                 lefts.append(-1)
                 rights.append(-1)
                 values.append(float(node.value))

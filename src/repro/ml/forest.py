@@ -24,31 +24,16 @@ class RandomForestClassifier:
         self,
         n_estimators: int = 100,
         max_depth: int = 10,
-        min_samples_leaf: int = 1,
-        max_features: Optional[str] = "sqrt",
         random_state: Optional[int] = None,
     ) -> None:
         if n_estimators <= 0:
             raise TrainingError("n_estimators must be positive")
         self.n_estimators = n_estimators
         self.max_depth = max_depth
-        self.min_samples_leaf = min_samples_leaf
-        self.max_features = max_features
         self.random_state = random_state
         self._trees: List[DecisionTreeClassifier] = []
         #: Built at the end of ``fit``; ``None`` means "not fitted".
         self._flat: Optional[FlatForest] = None
-
-    def _features_per_split(self, n_features: int) -> Optional[int]:
-        if self.max_features is None:
-            return None
-        if self.max_features == "sqrt":
-            return max(1, int(np.sqrt(n_features)))
-        if self.max_features == "log2":
-            return max(1, int(np.log2(n_features)))
-        if isinstance(self.max_features, int):
-            return max(1, min(self.max_features, n_features))
-        raise TrainingError(f"unsupported max_features: {self.max_features!r}")
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "RandomForestClassifier":
         X = np.asarray(X, dtype=np.float64)
@@ -56,7 +41,7 @@ class RandomForestClassifier:
         if X.ndim != 2 or y.shape[0] != X.shape[0]:
             raise TrainingError("bad shapes for X/y")
         rng = np.random.default_rng(self.random_state)
-        max_features = self._features_per_split(X.shape[1])
+        max_features = max(1, int(np.sqrt(X.shape[1])))
         n = X.shape[0]
         self._trees = []
         self._flat = None
@@ -64,7 +49,6 @@ class RandomForestClassifier:
             indices = rng.integers(0, n, size=n)  # bootstrap sample
             tree = DecisionTreeClassifier(
                 max_depth=self.max_depth,
-                min_samples_leaf=self.min_samples_leaf,
                 max_features=max_features,
                 random_state=int(rng.integers(0, 2 ** 31 - 1)),
             )

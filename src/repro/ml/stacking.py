@@ -15,7 +15,8 @@ Architecture (paper §4.2, "Model training and performance"):
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
+from functools import partial
+from typing import List, Optional
 
 import numpy as np
 
@@ -25,39 +26,37 @@ from .crossval import cross_val_predict
 from .lgbm import LightGBMClassifier
 from .xgb import XGBoostClassifier
 
-ModelFactory = Callable[[], object]
+#: Learner layers before the GBDT head.
+N_LAYERS = 2
+#: The learner trio of every layer.
+LAYER_MODELS = (GradientBoostingClassifier, XGBoostClassifier, LightGBMClassifier)
 
 
-class StackingClassifier:
-    """Generic multi-layer stacking with feature pass-through.
+class StackModel:
+    """The paper's detector: two GBDT/XGB/LGBM layers and a GBDT head.
 
     Parameters
     ----------
-    layers:
-        A sequence of layers, each a list of model factories. Every layer
-        appends its members' out-of-fold predictions (plus a majority-vote
-        column) to the running feature matrix.
-    final_factory:
-        Factory for the terminal combiner model.
+    n_estimators:
+        Boosting stages of every member model, the head included.
     n_splits:
         K for the out-of-fold prediction folds.
+    random_state:
+        Seeds the fold assignment of every member's out-of-fold
+        predictions.
     """
 
     def __init__(
         self,
-        layers: Sequence[Sequence[ModelFactory]],
-        final_factory: ModelFactory,
+        n_estimators: int = 60,
         n_splits: int = 5,
-        random_state: Optional[int] = None,
+        random_state: Optional[int] = 7,
     ) -> None:
-        if not layers or any(not layer for layer in layers):
-            raise TrainingError("stacking needs at least one non-empty layer")
-        self.layer_factories = [list(layer) for layer in layers]
-        self.final_factory = final_factory
+        self.n_estimators = n_estimators
         self.n_splits = n_splits
         self.random_state = random_state
         self._layer_models: List[List[object]] = []
-        self._final_model: Optional[object] = None
+        self._final_model: Optional[GradientBoostingClassifier] = None
 
     # -- helpers -------------------------------------------------------------
 
@@ -72,7 +71,7 @@ class StackingClassifier:
 
     # -- API -----------------------------------------------------------------
 
-    def fit(self, X: np.ndarray, y: np.ndarray) -> "StackingClassifier":
+    def fit(self, X: np.ndarray, y: np.ndarray) -> "StackModel":
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y).astype(np.int64)
         if X.ndim != 2 or y.shape[0] != X.shape[0]:
@@ -82,10 +81,11 @@ class StackingClassifier:
 
         self._layer_models = []
         current = X
-        for layer_index, factories in enumerate(self.layer_factories):
+        for layer_index in range(N_LAYERS):
             oof_predictions = []
             fitted_models = []
-            for model_index, factory in enumerate(factories):
+            for model_index, model_cls in enumerate(LAYER_MODELS):
+                factory = partial(model_cls, n_estimators=self.n_estimators)
                 seed = (
                     None
                     if self.random_state is None
@@ -95,13 +95,11 @@ class StackingClassifier:
                     factory, current, y, n_splits=self.n_splits, random_state=seed
                 )
                 oof_predictions.append(oof)
-                model = factory()
-                model.fit(current, y)
-                fitted_models.append(model)
+                fitted_models.append(factory().fit(current, y))
             self._layer_models.append(fitted_models)
             current = self._augment(current, oof_predictions)
 
-        self._final_model = self.final_factory()
+        self._final_model = GradientBoostingClassifier(n_estimators=self.n_estimators)
         self._final_model.fit(current, y)
         return self
 
@@ -109,7 +107,7 @@ class StackingClassifier:
         """Run ``method`` of every member through the layers and the final
         model; ``method`` is ``"predict_proba"`` or its reference walk."""
         if self._final_model is None:
-            raise NotFittedError("StackingClassifier is not fitted")
+            raise NotFittedError("StackModel is not fitted")
         current = np.asarray(X, dtype=np.float64)
         for models in self._layer_models:
             predictions = [getattr(m, method)(current)[:, 1] for m in models]
@@ -128,41 +126,3 @@ class StackingClassifier:
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return (self.predict_proba(X)[:, 1] >= 0.5).astype(np.int64)
-
-
-def _default_trio(random_state: Optional[int], n_estimators: int) -> List[ModelFactory]:
-    return [
-        lambda: GradientBoostingClassifier(
-            n_estimators=n_estimators, max_depth=3, learning_rate=0.1,
-            random_state=random_state,
-        ),
-        lambda: XGBoostClassifier(
-            n_estimators=n_estimators, max_depth=4, learning_rate=0.1,
-            reg_lambda=1.0, random_state=random_state,
-        ),
-        lambda: LightGBMClassifier(
-            n_estimators=n_estimators, num_leaves=15, learning_rate=0.1,
-            random_state=random_state,
-        ),
-    ]
-
-
-class StackModel(StackingClassifier):
-    """The paper's exact configuration: two GBDT/XGB/LGBM layers + GBDT head."""
-
-    def __init__(
-        self,
-        n_estimators: int = 60,
-        n_splits: int = 5,
-        random_state: Optional[int] = 7,
-    ) -> None:
-        trio = _default_trio(random_state, n_estimators)
-        super().__init__(
-            layers=[trio, trio],
-            final_factory=lambda: GradientBoostingClassifier(
-                n_estimators=n_estimators, max_depth=3, learning_rate=0.1,
-                random_state=random_state,
-            ),
-            n_splits=n_splits,
-            random_state=random_state,
-        )

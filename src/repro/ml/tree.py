@@ -1,10 +1,16 @@
 """CART decision trees (regression and classification), pure numpy.
 
-The regression tree is the workhorse underneath every boosted ensemble in
-this package: gradient boosting fits regression trees to pseudo-residuals.
-Splits are exact greedy — each feature column is sorted once per node and
-the SSE-minimizing threshold found via cumulative sums — which is fast
-enough for the study's workloads (thousands of samples, ~20 features).
+:class:`_Node` is the tree form of every ensemble in this package, and
+:func:`predict_tree` is the one per-row reference walk over it. The three
+growth algorithms differ — CART SSE here, exact greedy second-order in
+:mod:`repro.ml.xgb`, histogram leaf-wise in :mod:`repro.ml.lgbm` — but all
+produce ``_Node`` trees.
+
+The regression tree is the base learner of GBDT and, through the
+classifier, of the random forest. Splits are exact greedy — each feature
+column is sorted once per node and the SSE-minimizing threshold found via
+cumulative sums — which is fast enough for the study's workloads
+(thousands of samples, ~20 features).
 """
 
 from __future__ import annotations
@@ -19,7 +25,8 @@ from ..errors import NotFittedError, TrainingError
 
 @dataclass
 class _Node:
-    """One tree node; leaves carry ``value``, internal nodes a split."""
+    """One tree node; leaves carry ``value``, internal nodes route rows
+    with ``x[feature] <= threshold`` to ``left``, the rest to ``right``."""
 
     value: float = 0.0
     feature: int = -1
@@ -30,6 +37,28 @@ class _Node:
     @property
     def is_leaf(self) -> bool:
         return self.left is None
+
+
+def predict_tree(root: _Node, X: np.ndarray) -> np.ndarray:
+    """Leaf value of every row of ``X``: the per-row reference walk.
+
+    Routes index partitions down the tree iteratively (no per-row
+    recursion). A NaN feature value compares false and routes right.
+    :class:`~repro.ml.flat.FlatForest` is bit-identical to this walk.
+    """
+    out = np.empty(X.shape[0], dtype=np.float64)
+    stack = [(root, np.arange(X.shape[0]))]
+    while stack:
+        node, indices = stack.pop()
+        if indices.size == 0:
+            continue
+        if node.is_leaf:
+            out[indices] = node.value
+            continue
+        mask = X[indices, node.feature] <= node.threshold
+        stack.append((node.left, indices[mask]))
+        stack.append((node.right, indices[~mask]))
+    return out
 
 
 def _validate_xy(X: np.ndarray, y: np.ndarray) -> None:
@@ -45,7 +74,6 @@ def _best_split_sse(
     X: np.ndarray,
     residual: np.ndarray,
     feature_indices: np.ndarray,
-    min_samples_leaf: int,
 ):
     """Best (feature, threshold, gain) minimizing child SSE.
 
@@ -67,8 +95,6 @@ def _best_split_sse(
         # Candidate split positions: between distinct consecutive values.
         left_counts = np.arange(1, n)
         valid = sorted_col[:-1] < sorted_col[1:]
-        valid &= left_counts >= min_samples_leaf
-        valid &= (n - left_counts) >= min_samples_leaf
         if not valid.any():
             continue
         left_sum = csum[:-1]
@@ -98,8 +124,6 @@ class DecisionTreeRegressor:
     ----------
     max_depth:
         Maximum tree depth (root is depth 0).
-    min_samples_split / min_samples_leaf:
-        Pre-pruning guards.
     max_features:
         If set, the number of features considered per split (sampled with
         the tree's RNG) — used by random forests.
@@ -108,16 +132,12 @@ class DecisionTreeRegressor:
     def __init__(
         self,
         max_depth: int = 4,
-        min_samples_split: int = 2,
-        min_samples_leaf: int = 1,
         max_features: Optional[int] = None,
         random_state: Optional[int] = None,
     ) -> None:
         if max_depth < 0:
             raise TrainingError("max_depth cannot be negative")
         self.max_depth = max_depth
-        self.min_samples_split = max(2, min_samples_split)
-        self.min_samples_leaf = max(1, min_samples_leaf)
         self.max_features = max_features
         self.random_state = random_state
         self._root: Optional[_Node] = None
@@ -135,12 +155,7 @@ class DecisionTreeRegressor:
     def _grow(self, X: np.ndarray, y: np.ndarray, depth: int,
               rng: np.random.Generator) -> _Node:
         node = _Node(value=float(y.mean()))
-        n = y.shape[0]
-        if (
-            depth >= self.max_depth
-            or n < self.min_samples_split
-            or np.all(y == y[0])
-        ):
+        if depth >= self.max_depth or np.all(y == y[0]):
             return node
         n_features = X.shape[1]
         if self.max_features is not None and self.max_features < n_features:
@@ -149,7 +164,7 @@ class DecisionTreeRegressor:
             )
         else:
             feature_indices = np.arange(n_features)
-        split = _best_split_sse(X, y, feature_indices, self.min_samples_leaf)
+        split = _best_split_sse(X, y, feature_indices)
         if split is None:
             return node
         feature, threshold, _gain = split
@@ -168,20 +183,7 @@ class DecisionTreeRegressor:
             raise TrainingError(
                 f"expected {self._n_features} features, got shape {X.shape}"
             )
-        out = np.empty(X.shape[0], dtype=np.float64)
-        # Iterative node routing over index partitions: no per-row recursion.
-        stack = [(self._root, np.arange(X.shape[0]))]
-        while stack:
-            node, indices = stack.pop()
-            if indices.size == 0:
-                continue
-            if node.is_leaf:
-                out[indices] = node.value
-                continue
-            mask = X[indices, node.feature] <= node.threshold
-            stack.append((node.left, indices[mask]))
-            stack.append((node.right, indices[~mask]))
-        return out
+        return predict_tree(self._root, X)
 
     @property
     def depth(self) -> int:
@@ -219,15 +221,11 @@ class DecisionTreeClassifier:
     def __init__(
         self,
         max_depth: int = 6,
-        min_samples_split: int = 2,
-        min_samples_leaf: int = 1,
         max_features: Optional[int] = None,
         random_state: Optional[int] = None,
     ) -> None:
         self._tree = DecisionTreeRegressor(
             max_depth=max_depth,
-            min_samples_split=min_samples_split,
-            min_samples_leaf=min_samples_leaf,
             max_features=max_features,
             random_state=random_state,
         )

@@ -13,7 +13,7 @@ carry negative registration times.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Set
+from typing import Dict, List, Optional, Set
 
 from ..errors import DomainTakenError, UnknownDomainError
 from .url import URL
@@ -130,6 +130,3 @@ class DomainRegistry:
 
     def domains_of(self, registrant: str) -> List[DomainRecord]:
         return [r for r in self._records.values() if r.registrant == registrant]
-
-    def iter_records(self) -> Iterator[DomainRecord]:
-        return iter(self._records.values())

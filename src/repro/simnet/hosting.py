@@ -192,9 +192,6 @@ class SelfHostingProvider(HostingProvider):
     channel FWB attacks avoid.
     """
 
-    #: Cheap TLDs attackers favour for throwaway phishing domains (§6).
-    CHEAP_TLDS = ("xyz", "top", "live", "online", "site", "store", "club", "info")
-
     def __init__(self, registry: DomainRegistry, ca: CertificateAuthority) -> None:
         super().__init__(name="self-hosted", registry=registry)
         self.ca = ca

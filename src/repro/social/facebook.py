@@ -46,9 +46,3 @@ class CrowdTangleAPI:
 
     def posts(self, start: int, end: int) -> List[Post]:
         return self._platform.posts_between(start, end)
-
-    def post_exists(self, post_id: str, now: int) -> bool:
-        return self._platform.is_post_live(post_id, now)
-
-    def lookup(self, post_id: str) -> Optional[Post]:
-        return self._platform.get_post(post_id)

@@ -78,10 +78,11 @@ class TwitterPlatform(SocialPlatform):
 
 
 class TwitterAPI:
-    """The official API views used by FreePhish.
+    """The official API view FreePhish polls.
 
-    ``search_recent`` backs the streaming module's 10-minute poll;
-    ``tweet_exists`` backs the Academic-API liveness checks.
+    ``search_recent`` backs the streaming module's 10-minute poll. Post
+    liveness is not read through this API: the analysis module reads
+    :meth:`~repro.social.platform.SocialPlatform.get_post` directly.
     """
 
     def __init__(self, platform: TwitterPlatform) -> None:
@@ -89,9 +90,3 @@ class TwitterAPI:
 
     def search_recent(self, start: int, end: int) -> List[Post]:
         return self._platform.posts_between(start, end)
-
-    def tweet_exists(self, post_id: str, now: int) -> bool:
-        return self._platform.is_post_live(post_id, now)
-
-    def lookup(self, post_id: str) -> Optional[Post]:
-        return self._platform.get_post(post_id)

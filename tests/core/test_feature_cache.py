@@ -174,7 +174,7 @@ class _StubReporting:
     def __init__(self):
         self.reported = []
 
-    def report(self, observation, page, now):
+    def report(self, observation, now):
         self.reported.append((str(observation.url), now))
 
 

@@ -153,9 +153,7 @@ class TestReporting:
             url=site.root_url, post=post, platform="twitter",
             observed_at=10, fwb_name="weebly",
         )
-        pre = Preprocessor(web)
-        page = pre.process(site.root_url, 10)
-        report = reporting.report(obs, page, now=10)
+        report = reporting.report(obs, now=10)
         assert report.fwb_outcome is not None
         assert str(site.root_url) in desk.tickets
         assert len(reporting.reports) == 1
@@ -167,7 +165,6 @@ class TestReporting:
             "wordpress": AbuseDesk(web.fwb_providers["wordpress"], web, rng),
         }
         reporting = ReportingModule(desks)
-        pre = Preprocessor(web)
         from repro.core.streaming import StreamObservation
 
         for fwb in ("weebly", "wordpress"):
@@ -175,7 +172,7 @@ class TestReporting:
                 site = phishing_generator.create_site(web.fwb_providers[fwb], 0, rng)
                 post = twitter.publish_url(site.root_url, "a", 0, phishing=True)
                 obs = StreamObservation(site.root_url, post, "twitter", 0, fwb)
-                reporting.report(obs, pre.process(site.root_url, 0), now=0)
+                reporting.report(obs, now=0)
         rates = reporting.response_rates_by_fwb()
         assert rates["wordpress"]["no_response"] == 1.0
         assert rates["weebly"]["no_response"] < 1.0

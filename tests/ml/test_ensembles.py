@@ -8,12 +8,13 @@ from repro.ml import (
     GradientBoostingClassifier,
     LightGBMClassifier,
     RandomForestClassifier,
-    StackingClassifier,
     StackModel,
     XGBoostClassifier,
     accuracy_score,
     train_test_split,
 )
+from repro.ml import boosting, lgbm
+from repro.ml.tree import _Node
 
 
 def _nonlinear_data(n=600, seed=3):
@@ -30,9 +31,9 @@ def _nonlinear_data(n=600, seed=3):
 
 
 MODELS = [
-    ("gbdt", lambda: GradientBoostingClassifier(n_estimators=50, random_state=0)),
-    ("xgb", lambda: XGBoostClassifier(n_estimators=50, random_state=0)),
-    ("lgbm", lambda: LightGBMClassifier(n_estimators=50, random_state=0)),
+    ("gbdt", lambda: GradientBoostingClassifier(n_estimators=50)),
+    ("xgb", lambda: XGBoostClassifier(n_estimators=50)),
+    ("lgbm", lambda: LightGBMClassifier(n_estimators=50)),
     ("rf", lambda: RandomForestClassifier(n_estimators=30, random_state=0)),
 ]
 
@@ -69,6 +70,19 @@ class TestCommonBehaviour:
         with pytest.raises(NotFittedError):
             factory().predict(np.zeros((2, 6)))
 
+    def test_trees_share_one_node_type(self, name, factory):
+        Xtr, _Xte, ytr, _yte = _nonlinear_data(200)
+        model = factory().fit(Xtr, ytr)
+        if name == "rf":
+            stack = [tree._tree._root for tree in model._trees]
+        else:
+            stack = list(model._trees)
+        while stack:
+            node = stack.pop()
+            assert type(node) is _Node
+            if not node.is_leaf:
+                stack.extend((node.left, node.right))
+
     def test_rejects_multiclass(self, name, factory):
         X = np.random.default_rng(0).normal(size=(30, 3))
         y = np.arange(30) % 3
@@ -96,54 +110,50 @@ def test_inference_before_fit_raises(name, factory, method):
 class TestBoostingSpecifics:
     def test_more_stages_reduce_training_error(self):
         Xtr, _, ytr, _ = _nonlinear_data(300)
-        few = GradientBoostingClassifier(n_estimators=5, random_state=0).fit(Xtr, ytr)
-        many = GradientBoostingClassifier(n_estimators=80, random_state=0).fit(Xtr, ytr)
+        few = GradientBoostingClassifier(n_estimators=5).fit(Xtr, ytr)
+        many = GradientBoostingClassifier(n_estimators=80).fit(Xtr, ytr)
         assert accuracy_score(ytr, many.predict(Xtr)) >= accuracy_score(
             ytr, few.predict(Xtr)
         )
 
-    def test_subsample_still_learns(self):
-        Xtr, Xte, ytr, yte = _nonlinear_data()
-        model = GradientBoostingClassifier(
-            n_estimators=60, subsample=0.6, random_state=0
-        ).fit(Xtr, ytr)
-        assert accuracy_score(yte, model.predict(Xte)) > 0.78
+    def test_fits_every_stage(self):
+        Xtr, _, ytr, _ = _nonlinear_data(120)
+        model = GradientBoostingClassifier(n_estimators=25).fit(Xtr, ytr)
+        assert len(model._trees) == model._flat.n_trees == 25
 
     def test_invalid_hyperparameters(self):
-        with pytest.raises(TrainingError):
-            GradientBoostingClassifier(n_estimators=0)
-        with pytest.raises(TrainingError):
-            GradientBoostingClassifier(learning_rate=0.0)
-        with pytest.raises(TrainingError):
-            XGBoostClassifier(reg_lambda=-1)
-        with pytest.raises(TrainingError):
-            LightGBMClassifier(num_leaves=1)
+        for model_cls in (
+            GradientBoostingClassifier, XGBoostClassifier, LightGBMClassifier,
+            RandomForestClassifier,
+        ):
+            with pytest.raises(TrainingError):
+                model_cls(n_estimators=0)
 
-    def test_xgb_regularization_shrinks_leaves(self):
+    def test_xgb_regularization_shrinks_leaves(self, monkeypatch):
         Xtr, _, ytr, _ = _nonlinear_data(300)
-        mild = XGBoostClassifier(n_estimators=10, reg_lambda=0.1, random_state=0)
-        harsh = XGBoostClassifier(n_estimators=10, reg_lambda=100.0, random_state=0)
-        mild.fit(Xtr, ytr)
-        harsh.fit(Xtr, ytr)
+        monkeypatch.setattr(boosting, "REG_LAMBDA", 0.1)
+        mild = XGBoostClassifier(n_estimators=10).fit(Xtr, ytr)
+        monkeypatch.setattr(boosting, "REG_LAMBDA", 100.0)
+        harsh = XGBoostClassifier(n_estimators=10).fit(Xtr, ytr)
         spread_mild = np.std(mild.decision_function(Xtr))
         spread_harsh = np.std(harsh.decision_function(Xtr))
         assert spread_harsh < spread_mild
 
-    def test_lgbm_leaf_budget(self):
+    def test_lgbm_leaf_budget(self, monkeypatch):
         Xtr, _, ytr, _ = _nonlinear_data(300)
-        model = LightGBMClassifier(n_estimators=3, num_leaves=4, random_state=0)
-        model.fit(Xtr, ytr)
+        monkeypatch.setattr(lgbm, "NUM_LEAVES", 4)
+        model = LightGBMClassifier(n_estimators=3).fit(Xtr, ytr)
 
         def count_leaves(node):
             if node.is_leaf:
                 return 1
             return count_leaves(node.left) + count_leaves(node.right)
 
-        assert all(count_leaves(t.root) <= 4 for t in model._trees)
+        assert all(count_leaves(root) <= 4 for root in model._trees)
 
     def test_decision_function_matches_predict(self):
         Xtr, Xte, ytr, _ = _nonlinear_data(300)
-        model = XGBoostClassifier(n_estimators=20, random_state=0).fit(Xtr, ytr)
+        model = XGBoostClassifier(n_estimators=20).fit(Xtr, ytr)
         raw = model.decision_function(Xte)
         assert np.array_equal(model.predict(Xte), (raw >= 0).astype(int))
 
@@ -162,18 +172,24 @@ class TestStacking:
     def test_augment_appends_predictions_and_vote(self):
         X = np.zeros((4, 3))
         preds = [np.array([0.9, 0.1, 0.8, 0.2]), np.array([0.7, 0.3, 0.6, 0.4])]
-        out = StackingClassifier._augment(X, preds)
+        out = StackModel._augment(X, preds)
         assert out.shape == (4, 3 + 2 + 1)
         assert np.array_equal(out[:, -1], [1.0, 0.0, 1.0, 0.0])
+
+    def test_layers_hold_the_trio(self):
+        Xtr, _, ytr, _ = _nonlinear_data(150)
+        stack = StackModel(n_estimators=3, n_splits=3).fit(Xtr, ytr)
+        assert [[type(m) for m in layer] for layer in stack._layer_models] == [
+            [GradientBoostingClassifier, XGBoostClassifier, LightGBMClassifier]
+        ] * 2
+        assert isinstance(stack._final_model, GradientBoostingClassifier)
+        # Each layer appends three probabilities and their majority vote.
+        assert stack._final_model._flat.n_features == Xtr.shape[1] + 2 * 4
 
     def test_single_class_labels_rejected(self):
         stack = StackModel(n_estimators=5, random_state=0)
         with pytest.raises(TrainingError):
             stack.fit(np.zeros((10, 2)), np.ones(10))
-
-    def test_empty_layer_rejected(self):
-        with pytest.raises(TrainingError):
-            StackingClassifier(layers=[[]], final_factory=lambda: None)
 
     def test_predict_before_fit(self):
         with pytest.raises(NotFittedError):

@@ -44,9 +44,9 @@ def _query_matrices(d=8):
 
 
 BACKENDS = [
-    ("gbdt", lambda: GradientBoostingClassifier(n_estimators=25, random_state=3)),
-    ("xgb", lambda: XGBoostClassifier(n_estimators=25, random_state=3)),
-    ("lgbm", lambda: LightGBMClassifier(n_estimators=25, random_state=3)),
+    ("gbdt", lambda: GradientBoostingClassifier(n_estimators=25)),
+    ("xgb", lambda: XGBoostClassifier(n_estimators=25)),
+    ("lgbm", lambda: LightGBMClassifier(n_estimators=25)),
     ("rf", lambda: RandomForestClassifier(n_estimators=20, random_state=3)),
 ]
 
@@ -115,7 +115,7 @@ class TestThresholdEdges:
     def test_values_on_learned_thresholds(self):
         """x == threshold must route left on both paths (<= semantics)."""
         X, y = _training_data()
-        model = GradientBoostingClassifier(n_estimators=15, random_state=3)
+        model = GradientBoostingClassifier(n_estimators=15)
         model.fit(X, y)
         flat = model._flat
         internal = flat.threshold[flat.feature >= 0]
@@ -141,7 +141,7 @@ class TestThresholdEdges:
 class TestFlatForestStructure:
     def _compiled(self):
         X, y = _training_data()
-        model = GradientBoostingClassifier(n_estimators=8, random_state=3)
+        model = GradientBoostingClassifier(n_estimators=8)
         model.fit(X, y)
         return model._flat, X
 

@@ -2,7 +2,8 @@
 
 import numpy as np
 
-from repro.ml.lgbm import _Binner, _LGBMTree, LightGBMClassifier
+from repro.ml import lgbm
+from repro.ml.lgbm import _Binner, LightGBMClassifier
 
 
 class TestBinner:
@@ -44,7 +45,7 @@ class TestBinner:
 
 
 class TestLeafWiseTree:
-    def test_grows_best_first(self):
+    def test_grows_best_first(self, monkeypatch):
         """With a budget of 3 leaves, the tree spends its splits on the
         dimension with the largest gain."""
         rng = np.random.default_rng(2)
@@ -54,38 +55,52 @@ class TestLeafWiseTree:
         grad = y - y.mean()
         hess = np.ones_like(grad)
         binner = _Binner(max_bins=32).fit(X)
-        tree = _LGBMTree(num_leaves=2, min_data_in_leaf=5, reg_lambda=1.0,
-                         min_gain=0.0)
-        tree.fit(binner.transform(X), grad, hess)
-        assert tree.root.feature == 0  # the first (only) split uses f0
+        monkeypatch.setattr(lgbm, "NUM_LEAVES", 2)
+        root = lgbm._grow(binner.transform(X), grad, hess)
+        assert root.feature == 0  # the first (only) split uses f0
 
-    def test_prediction_partitions_all_rows(self):
+    def test_prediction_partitions_all_rows(self, monkeypatch):
         rng = np.random.default_rng(3)
         X = rng.normal(size=(200, 3))
         y = (X[:, 0] > 0).astype(float)
-        model = LightGBMClassifier(n_estimators=5, num_leaves=8,
-                                   random_state=0).fit(X, y)
+        monkeypatch.setattr(lgbm, "NUM_LEAVES", 8)
+        model = LightGBMClassifier(n_estimators=5).fit(X, y)
         proba = model.predict_proba(X)
         assert np.isfinite(proba).all()
 
-    def test_min_data_in_leaf_respected(self):
+    def test_thresholds_are_bin_indices(self):
+        rng = np.random.default_rng(5)
+        X = rng.normal(size=(300, 3))
+        y = (X[:, 0] + X[:, 1] > 0).astype(float)
+        model = LightGBMClassifier(n_estimators=3).fit(X, y)
+        top_bin = model._binner.transform(X).max()
+        stack = list(model._trees)
+        while stack:
+            node = stack.pop()
+            if node.is_leaf:
+                continue
+            assert isinstance(node.threshold, float)
+            assert node.threshold.is_integer() and 0 <= node.threshold < top_bin
+            stack.extend((node.left, node.right))
+
+    def test_min_data_in_leaf_respected(self, monkeypatch):
         rng = np.random.default_rng(4)
         X = rng.normal(size=(60, 2))
         grad = rng.normal(size=60)
         hess = np.ones(60)
         binned = _Binner(max_bins=16).fit(X).transform(X)
-        tree = _LGBMTree(num_leaves=32, min_data_in_leaf=20, reg_lambda=1.0,
-                         min_gain=0.0)
-        tree.fit(binned, grad, hess)
+        monkeypatch.setattr(lgbm, "NUM_LEAVES", 32)
+        monkeypatch.setattr(lgbm, "MIN_DATA_IN_LEAF", 20)
+        root = lgbm._grow(binned, grad, hess)
 
         def leaf_sizes(node, indices):
             if node.is_leaf:
                 return [len(indices)]
-            mask = binned[indices, node.feature] <= node.threshold_bin
+            mask = binned[indices, node.feature] <= node.threshold
             return leaf_sizes(node.left, indices[mask]) + leaf_sizes(
                 node.right, indices[~mask]
             )
 
-        sizes = leaf_sizes(tree.root, np.arange(60))
+        sizes = leaf_sizes(root, np.arange(60))
         assert all(size >= 20 for size in sizes)
         assert sum(sizes) == 60

