@@ -28,8 +28,12 @@ from ..simnet.web import Web
 from ..webdoc import Document
 from .features import FeatureExtractor, PageFeatures, snapshot_key
 
-#: Capacity of the snapshot-keyed page store, in page versions.
-PAGE_CACHE_SIZE = 2048
+#: Capacity of the snapshot-keyed page store, in page versions. Every
+#: measured hit is on one of the 14 (campaign), 51 (cold serving) or 199
+#: (hot serving over 200 URLs) most recently used entries, so 256 loses
+#: no reuse; a larger store only carries parsed documents that are never
+#: read again through every garbage collection. See ``docs/PERFORMANCE.md``.
+PAGE_CACHE_SIZE = 256
 
 
 @dataclass

@@ -147,10 +147,6 @@ class FlatForest:
     def n_trees(self) -> int:
         return int(self.roots.shape[0])
 
-    @property
-    def n_nodes(self) -> int:
-        return int(self.feature.shape[0])
-
     # -- inference ------------------------------------------------------------
 
     def check_input(self, X: np.ndarray) -> None:
@@ -190,25 +186,23 @@ class FlatForest:
     ) -> np.ndarray:
         """Boosted raw scores: ``base + Σ_t lr * tree_t(X)`` in tree order.
 
-        The per-tree loop is deliberate: it reproduces the reference
-        implementations' sequential floating-point accumulation exactly.
+        ``np.add.accumulate`` down the tree axis adds the rows one after
+        another, so the sum keeps the reference implementations'
+        sequential floating-point order exactly.
         """
         values = self.leaf_values(X)
-        raw = np.full(X.shape[0], base_score)
-        for t in range(values.shape[0]):
-            raw += learning_rate * values[t]
-        return raw
+        terms = np.empty((values.shape[0] + 1, values.shape[1]))
+        terms[0] = base_score
+        np.multiply(learning_rate, values, out=terms[1:])
+        return np.add.accumulate(terms, axis=0)[-1]
 
     def vote(self, X: np.ndarray) -> np.ndarray:
         """Random-forest probabilities: the mean of per-tree ``[1-p, p]``.
 
-        Each tree's leaf value is clipped to ``[0, 1]`` and its two columns
-        are summed in tree order, bit-identical to summing the trees'
-        ``predict_proba`` outputs sequentially.
+        Each tree's leaf value is clipped to ``[0, 1]`` and the trees'
+        ``[1-p, p]`` pairs are summed in tree order, bit-identical to
+        summing the trees' ``predict_proba`` outputs sequentially.
         """
-        values = self.leaf_values(X)
-        accumulated = np.zeros((X.shape[0], 2), dtype=np.float64)
-        for t in range(values.shape[0]):
-            p = np.clip(values[t], 0.0, 1.0)
-            accumulated += np.column_stack([1.0 - p, p])
-        return accumulated / self.n_trees
+        p = np.clip(self.leaf_values(X), 0.0, 1.0)
+        pairs = np.stack([1.0 - p, p], axis=-1)
+        return np.add.accumulate(pairs, axis=0)[-1] / self.n_trees

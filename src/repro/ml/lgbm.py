@@ -67,14 +67,6 @@ class _Binner:
             binned[:, j] = np.searchsorted(edges, X[:, j], side="right")
         return binned
 
-    def threshold(self, feature: int, bin_index: int) -> float:
-        """Raw-space threshold equivalent to ``bin <= bin_index``."""
-        edges = self.bin_edges[feature]
-        if len(edges) == 0:
-            return np.inf
-        bin_index = min(bin_index, len(edges) - 1)
-        return float(edges[bin_index])
-
 
 def _best_split(
     binned: np.ndarray, grad: np.ndarray, hess: np.ndarray, indices: np.ndarray

@@ -148,12 +148,18 @@ class DecisionTreeRegressor:
         y = np.asarray(y, dtype=np.float64)
         _validate_xy(X, y)
         self._n_features = X.shape[1]
-        rng = np.random.default_rng(self.random_state)
+        # Only feature sampling draws from the generator; GBDT's trees
+        # sample no features and so seed none.
+        rng = (
+            np.random.default_rng(self.random_state)
+            if self.max_features is not None
+            else None
+        )
         self._root = self._grow(X, y, depth=0, rng=rng)
         return self
 
     def _grow(self, X: np.ndarray, y: np.ndarray, depth: int,
-              rng: np.random.Generator) -> _Node:
+              rng: Optional[np.random.Generator]) -> _Node:
         node = _Node(value=float(y.mean()))
         if depth >= self.max_depth or np.all(y == y[0]):
             return node
@@ -184,30 +190,6 @@ class DecisionTreeRegressor:
                 f"expected {self._n_features} features, got shape {X.shape}"
             )
         return predict_tree(self._root, X)
-
-    @property
-    def depth(self) -> int:
-        def walk(node: Optional[_Node]) -> int:
-            if node is None or node.is_leaf:
-                return 0
-            return 1 + max(walk(node.left), walk(node.right))
-
-        if self._root is None:
-            raise NotFittedError("DecisionTreeRegressor is not fitted")
-        return walk(self._root)
-
-    @property
-    def n_leaves(self) -> int:
-        def walk(node: Optional[_Node]) -> int:
-            if node is None:
-                return 0
-            if node.is_leaf:
-                return 1
-            return walk(node.left) + walk(node.right)
-
-        if self._root is None:
-            raise NotFittedError("DecisionTreeRegressor is not fitted")
-        return walk(self._root)
 
 
 class DecisionTreeClassifier:

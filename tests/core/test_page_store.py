@@ -8,13 +8,18 @@ after a target takedown sees the takedown. Intel reads pages through the
 same store, so the framework and the ecosystem parse each version once.
 """
 
+import numpy as np
 import pytest
 
+import repro.core.preprocess as preprocess_module
 from repro.config import SimulationConfig
 from repro.core import Preprocessor
+from repro.core.classifier import FreePhishClassifier
 from repro.ecosystem.intel import gather_intel
 from repro.errors import FetchError
+from repro.ml import RandomForestClassifier
 from repro.obs import Instrumentation
+from repro.serve import VerdictService
 from repro.sim import CampaignWorld, build_ground_truth
 from repro.simnet import Browser
 from repro.sitegen.phishing import PhishingVariant
@@ -143,3 +148,70 @@ def test_campaign_parses_each_page_version_once(parse_calls):
     assert len(parse_calls) > 100
     assert len(parse_calls) == len(set(parse_calls))
     assert world.intel.pages is world.preprocessor
+
+
+class TestCapacity:
+    """``PAGE_CACHE_SIZE`` covers the reuse these traffic shapes have: an
+    unbounded store would parse no fewer pages."""
+
+    UNBOUNDED = 10**9
+
+    @staticmethod
+    def _campaign_counters():
+        config = SimulationConfig(seed=5, duration_days=1, target_fwb_phishing=100)
+        world = CampaignWorld(config, train_samples_per_class=20)
+        world.run()
+        return world.instr.metrics.counters()
+
+    def test_campaign_day_loses_no_reuse(self, monkeypatch):
+        bounded = self._campaign_counters()
+        # The day loads more page versions than the store holds.
+        assert bounded["preprocess.cache.evicted"] > 0
+        assert bounded["preprocess.cache.hit"] > 0
+        monkeypatch.setattr(preprocess_module, "PAGE_CACHE_SIZE", self.UNBOUNDED)
+        unbounded = self._campaign_counters()
+        assert bounded["preprocess.cache.miss"] == unbounded["preprocess.cache.miss"]
+
+    @pytest.fixture(scope="class")
+    def catalogue(self):
+        """200 ground-truth URLs, a model and a day of Zipf 1.1 requests
+        (20 every five minutes); allowed verdicts expire from the verdict
+        cache within the day, so the page store is read again."""
+        corpus = build_ground_truth(n_per_class=100, seed=3)
+        classifier = FreePhishClassifier(
+            model=RandomForestClassifier(n_estimators=10, random_state=0)
+        )
+        classifier.fit_pages(corpus.pages, corpus.labels)
+        urls = [page.url for page in corpus.pages]
+        weights = np.arange(1, len(urls) + 1, dtype=float) ** -1.1
+        rng = np.random.default_rng(0)
+        requests = rng.choice(len(urls), size=(288, 20), p=weights / weights.sum())
+        return corpus.web, classifier, urls, requests
+
+    @staticmethod
+    def _replay_counters(catalogue):
+        web, classifier, urls, requests = catalogue
+        instr = Instrumentation()
+        service = VerdictService(web, classifier, instrumentation=instr)
+        for step, row in enumerate(requests):
+            for index in row:
+                service.submit(urls[index], 5 * step)
+            service.pump(5 * step)
+        service.drain(5 * len(requests))
+        return instr.metrics.counters()
+
+    def test_catalogue_replay_loses_no_reuse(self, catalogue, monkeypatch):
+        bounded = self._replay_counters(catalogue)
+        assert bounded["preprocess.cache.hit"] > 0
+        monkeypatch.setattr(preprocess_module, "PAGE_CACHE_SIZE", self.UNBOUNDED)
+        unbounded = self._replay_counters(catalogue)
+        assert bounded["preprocess.cache.miss"] == unbounded["preprocess.cache.miss"]
+
+    def test_catalogue_replay_has_reuse_a_small_store_loses(
+        self, catalogue, monkeypatch
+    ):
+        """The replay can tell capacities apart: 16 entries miss more."""
+        default = self._replay_counters(catalogue)
+        monkeypatch.setattr(preprocess_module, "PAGE_CACHE_SIZE", 16)
+        small = self._replay_counters(catalogue)
+        assert small["preprocess.cache.miss"] > default["preprocess.cache.miss"]

@@ -155,7 +155,9 @@ class TestFlatForestStructure:
     def test_tree_count(self):
         flat, _ = self._compiled()
         assert flat.n_trees == 8
-        assert flat.n_nodes == flat.feature.size
+        n_nodes = flat.feature.size
+        for column in (flat.threshold, flat.left, flat.right, flat.value):
+            assert column.size == n_nodes
 
     def test_leaf_values_shape(self):
         flat, X = self._compiled()

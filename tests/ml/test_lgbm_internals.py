@@ -6,6 +6,14 @@ from repro.ml import lgbm
 from repro.ml.lgbm import _Binner, LightGBMClassifier
 
 
+def _raw_threshold(binner, feature, bin_index):
+    """Raw-space threshold equivalent to ``bin <= bin_index``."""
+    edges = binner.bin_edges[feature]
+    if len(edges) == 0:
+        return np.inf
+    return float(edges[min(bin_index, len(edges) - 1)])
+
+
 class TestBinner:
     def test_transform_monotone_in_feature(self):
         rng = np.random.default_rng(0)
@@ -32,7 +40,7 @@ class TestBinner:
         binner = _Binner(max_bins=4).fit(X)
         binned = binner.transform(X)
         for bin_index in range(int(binned.max())):
-            threshold = binner.threshold(0, bin_index)
+            threshold = _raw_threshold(binner, 0, bin_index)
             # Everything in bins <= bin_index sits at/below the threshold.
             assert X[binned[:, 0] <= bin_index, 0].max() <= threshold
 

@@ -8,6 +8,18 @@ from repro.ml import DecisionTreeClassifier, DecisionTreeRegressor
 from repro.ml.tree import _Node, predict_tree
 
 
+def _depth(node):
+    if node.is_leaf:
+        return 0
+    return 1 + max(_depth(node.left), _depth(node.right))
+
+
+def _n_leaves(node):
+    if node.is_leaf:
+        return 1
+    return _n_leaves(node.left) + _n_leaves(node.right)
+
+
 def _step_data(n=200, seed=0):
     rng = np.random.default_rng(seed)
     X = rng.uniform(-1, 1, size=(n, 3))
@@ -25,12 +37,12 @@ class TestRegressor:
         X, y = _step_data()
         tree = DecisionTreeRegressor(max_depth=0).fit(X, y)
         assert np.allclose(tree.predict(X), y.mean())
-        assert tree.depth == 0 and tree.n_leaves == 1
+        assert _depth(tree._root) == 0 and _n_leaves(tree._root) == 1
 
     def test_constant_target_single_leaf(self):
         X = np.random.default_rng(0).normal(size=(50, 2))
         tree = DecisionTreeRegressor(max_depth=5).fit(X, np.ones(50))
-        assert tree.n_leaves == 1
+        assert _n_leaves(tree._root) == 1
 
     def test_predict_before_fit_raises(self):
         with pytest.raises(NotFittedError):
@@ -50,6 +62,18 @@ class TestRegressor:
         a = DecisionTreeRegressor(max_depth=4, max_features=2, random_state=1)
         b = DecisionTreeRegressor(max_depth=4, max_features=2, random_state=1)
         assert np.array_equal(a.fit(X, y).predict(X), b.fit(X, y).predict(X))
+
+    def test_no_generator_without_feature_sampling(self, monkeypatch):
+        """Only ``max_features`` draws from the tree's generator, so a tree
+        without it (every GBDT stage) must not seed one."""
+        X, y = _step_data(100)
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("seeded a generator that is never drawn from")
+
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        tree = DecisionTreeRegressor(max_depth=3).fit(X, y)
+        assert np.mean((tree.predict(X) - y) ** 2) < 0.01
 
     def test_duplicate_feature_values_handled(self):
         X = np.array([[1.0], [1.0], [1.0], [2.0]])
