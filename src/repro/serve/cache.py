@@ -85,6 +85,17 @@ class CacheHit:
     tier: str
 
 
+def _hits(tier: str) -> Dict[NavigationVerdict, CacheHit]:
+    return {verdict: CacheHit(verdict, tier) for verdict in NavigationVerdict}
+
+
+#: The only ``CacheHit`` objects: one per (tier, verdict), shared by every
+#: lookup, so a hit allocates nothing. Sharing is why ``CacheHit`` is frozen.
+_EXACT_HITS = _hits(TIER_EXACT)
+_DOMAIN_HITS = _hits(TIER_DOMAIN)
+_NEGATIVE_HITS = _hits(TIER_NEGATIVE)
+
+
 class _LruTtlTier:
     """One cache tier: ordered dict with LRU eviction and per-entry TTL.
 
@@ -171,15 +182,15 @@ class TieredVerdictCache:
         verdict = self.exact.get(key, now)
         if verdict is not None:
             self._c_hit[TIER_EXACT].inc()
-            return CacheHit(verdict=verdict, tier=TIER_EXACT)
+            return _EXACT_HITS[verdict]
         host_verdict = self.domain.get(domain_key(url), now)
         if host_verdict is not None:
             self._c_hit[TIER_DOMAIN].inc()
-            return CacheHit(verdict=host_verdict, tier=TIER_DOMAIN)
+            return _DOMAIN_HITS[host_verdict]
         benign = self.negative.get(key, now)
         if benign is not None:
             self._c_hit[TIER_NEGATIVE].inc()
-            return CacheHit(verdict=benign, tier=TIER_NEGATIVE)
+            return _NEGATIVE_HITS[benign]
         self._c_miss.inc()
         return None
 

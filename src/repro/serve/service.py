@@ -68,9 +68,14 @@ _TIER_TO_SERVED = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass
 class ServedVerdict:
-    """A navigation verdict plus its provenance within the serving stack."""
+    """A navigation verdict plus its provenance within the serving stack.
+
+    Not frozen: one is built per request on the hot path, and a plain
+    dataclass builds in under half the time. Nothing mutates or hashes a
+    verdict, and none is shared between requests.
+    """
 
     url: URL
     verdict: NavigationVerdict

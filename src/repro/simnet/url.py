@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Tuple
 
 from ..errors import URLError
@@ -133,6 +134,17 @@ class URL:
     # -- rendering -----------------------------------------------------------
 
     def __str__(self) -> str:
+        return self._text
+
+    @cached_property
+    def _text(self) -> str:
+        """The rendered URL, formatted once per object.
+
+        Cache, intel, blocklist and VirusTotal keys are all ``str(url)``,
+        so a URL served many times would otherwise be formatted per use.
+        The memo lives in the instance ``__dict__``; equality and hashing
+        still come from the four fields alone.
+        """
         base = f"{self.scheme}://{self.host}{self.path}"
         if self.query:
             return f"{base}?{self.query}"

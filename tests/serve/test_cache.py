@@ -183,11 +183,32 @@ class TestMetrics:
         instr = Instrumentation()
         cache = TieredVerdictCache(instrumentation=instr)
         url = parse_url("https://scam.weebly.com/login")
+        benign = parse_url("https://fine.wixsite.com/")
         cache.lookup(url, now=0)  # miss
         cache.store(url, NavigationVerdict.BLOCKED_FEED, now=0)
-        cache.lookup(url, now=1)  # exact
-        cache.lookup(parse_url("https://scam.weebly.com/x"), now=1)  # domain
+        cache.store(benign, NavigationVerdict.ALLOWED, now=0)
+        sibling = parse_url("https://scam.weebly.com/x")
+        # Hits share their CacheHit objects; each one still counts.
+        hits = 7
+        for now in range(1, hits + 1):
+            assert cache.lookup(url, now).tier == TIER_EXACT
+            assert cache.lookup(sibling, now).tier == TIER_DOMAIN
+            assert cache.lookup(benign, now).tier == TIER_NEGATIVE
         counters = instr.metrics.snapshot()["counters"]
         assert counters["serve.cache.miss"] == 1
-        assert counters["serve.cache.hit.exact"] == 1
-        assert counters["serve.cache.hit.domain"] == 1
+        assert counters["serve.cache.hit.exact"] == hits
+        assert counters["serve.cache.hit.domain"] == hits
+        assert counters["serve.cache.hit.negative"] == hits
+
+
+class TestSharedHits:
+    def test_same_tier_and_verdict_return_one_object(self):
+        cache = TieredVerdictCache()
+        url = parse_url("https://scam.weebly.com/login")
+        cache.store(url, NavigationVerdict.BLOCKED_FEED, now=0)
+        first = cache.lookup(url, now=1)
+        assert cache.lookup(url, now=2) is first
+        # Another URL answered by the same tier with the same verdict.
+        other = parse_url("https://other.weebly.com/")
+        cache.store(other, NavigationVerdict.BLOCKED_FEED, now=0)
+        assert cache.lookup(other, now=3) is first

@@ -98,6 +98,32 @@ class TestBatchedPath:
         served = service.submit(parse_url("https://plain.example.com/"), now=0)
         assert served is not None and served.served_from is ServedFrom.NON_FWB
 
+    def test_front_line_verdicts_are_not_shared(self, web, trained_classifier):
+        service = VerdictService(web, trained_classifier)
+        url = parse_url("https://plain.example.com/")
+        first = service.submit(url, now=0)
+        second = service.submit(url, now=1)
+        assert second.served_from is ServedFrom.CACHE_NEGATIVE
+        again = service.submit(url, now=2)
+        assert again is not second and again == second
+        assert first.url is url and second.url is url and again.url is url
+
+    def test_repeated_hits_count_in_every_counter(self, web, trained_classifier,
+                                                  phishing_generator, rng):
+        instr = Instrumentation()
+        service = VerdictService(web, trained_classifier, instrumentation=instr)
+        url = _phish(web, phishing_generator, rng)
+        service.update_feed([url])
+        assert service.submit(url, now=0).served_from is ServedFrom.FEED
+        hits = 9
+        for now in range(1, hits + 1):
+            assert service.submit(url, now).served_from is ServedFrom.CACHE_EXACT
+        counters = instr.metrics.snapshot()["counters"]
+        assert counters["serve.cache.hit.exact"] == hits
+        assert counters["serve.served.cache_exact"] == hits
+        assert counters["serve.served.feed"] == 1
+        assert counters["serve.requests"] == hits + 1
+
 
 class TestOverload:
     def test_sheds_to_degraded_instead_of_erroring(self, web, trained_classifier,

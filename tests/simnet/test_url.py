@@ -1,9 +1,13 @@
 """URL parsing and lexical-feature tests."""
 
+import copy
+import pickle
+
 import pytest
 
 from repro.errors import URLError
 from repro.simnet.url import (
+    URL,
     URLStringStats,
     count_sensitive_words,
     count_suspicious_symbols,
@@ -89,6 +93,44 @@ class TestUrlStructure:
         url = parse_url("https://a.example.com/deep/page?q=1")
         assert str(url.root()) == "https://a.example.com/"
         assert url.with_path("/other").path == "/other"
+
+
+class TestRenderedMemo:
+    """``str(url)`` is formatted once per object and kept on it."""
+
+    TEXTS = ("https://a.weebly.com/login", "https://a.weebly.com/login?next=%2F")
+
+    def test_memo_does_not_enter_equality_or_hash(self):
+        rendered = URL("https", "a.weebly.com", "/login")
+        fresh = URL("https", "a.weebly.com", "/login")
+        assert str(rendered) == "https://a.weebly.com/login"
+        assert "_text" in vars(rendered) and "_text" not in vars(fresh)
+        assert rendered == fresh and fresh == rendered
+        assert hash(rendered) == hash(fresh)
+        assert len({rendered, fresh}) == 1
+
+    @pytest.mark.parametrize("text", TEXTS)
+    @pytest.mark.parametrize("rendered_first", [False, True])
+    def test_str_survives_copy_and_pickle(self, text, rendered_first):
+        url = parse_url(text)
+        if rendered_first:
+            assert str(url) == text
+        for twin in (copy.copy(url), copy.deepcopy(url),
+                     pickle.loads(pickle.dumps(url))):
+            assert twin == url and hash(twin) == hash(url)
+            assert str(twin) == text
+        assert str(url) == text
+
+    @pytest.mark.parametrize("text", TEXTS)
+    def test_derived_urls_render_themselves(self, text):
+        url = parse_url(text)
+        assert str(url) == text  # memoize on the source first
+        query = text.partition("?")[2]
+        assert str(url.with_path("/other")) == (
+            "https://a.weebly.com/other" + (f"?{query}" if query else "")
+        )
+        assert str(url.root()) == "https://a.weebly.com/"
+        assert str(url) == text
 
 
 class TestExtraction:
