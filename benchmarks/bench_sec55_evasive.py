@@ -11,7 +11,7 @@ from collections import Counter
 
 from conftest import emit
 
-from repro.core.evasive import classify_evasive, has_credential_fields
+from repro.core.evasive import classify_evasive
 from repro.errors import FetchError
 from repro.simnet import Browser
 from repro.simnet.url import parse_url
@@ -30,7 +30,7 @@ def _sweep(world, result):
         except FetchError:
             continue
         total += 1
-        if has_credential_fields(snapshot):
+        if snapshot.facts.has_credential_fields:
             continue
         no_credentials += 1
         vector = classify_evasive(snapshot, browser, timeline.first_seen)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.evasive import classify_evasive, has_credential_fields
+from repro.core.evasive import classify_evasive
 from repro.simnet import Browser, Web
 from repro.sitegen import PhishingSiteGenerator
 from repro.sitegen.kits import PhishingKitGenerator
@@ -49,7 +49,7 @@ def main() -> None:
         snapshot = browser.snapshot(url, now=10)
         print(f"-- {url}  (truth: {site.metadata['variant']})")
         print(f"   credential fields on the page itself: "
-              f"{has_credential_fields(snapshot)}")
+              f"{snapshot.facts.has_credential_fields}")
         print(f"   outbound links: {[str(u) for u in snapshot.outbound_links]}")
         print(f"   iframes resolved: "
               f"{[(str(src), bool(markup)) for src, markup in snapshot.iframe_contents]}")
@@ -62,7 +62,7 @@ def main() -> None:
         if len(chain) > 1:
             print(f"   clicking the call-to-action lands on {chain[1].url} "
                   f"(credentials there: "
-                  f"{bool(chain[1].document.password_inputs())})")
+                  f"{chain[1].facts.n_password_inputs > 0})")
         print()
 
 

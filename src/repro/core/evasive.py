@@ -31,11 +31,6 @@ class EvasiveVector(str, Enum):
     DRIVEBY = "driveby"
 
 
-def has_credential_fields(snapshot: PageSnapshot) -> bool:
-    document = snapshot.document
-    return bool(document.password_inputs()) or len(document.credential_inputs()) >= 2
-
-
 def classify_evasive(
     snapshot: PageSnapshot,
     browser: Browser,
@@ -46,7 +41,7 @@ def classify_evasive(
     Returns ``None`` when the page has credential fields (not evasive) or
     matches none of the three vectors.
     """
-    if has_credential_fields(snapshot):
+    if snapshot.facts.has_credential_fields:
         return None
     moment = snapshot.fetched_at if now is None else now
 
@@ -63,17 +58,13 @@ def classify_evasive(
     # Two-step: follow the primary call-to-action to another domain.
     chain = browser.follow_workflow(snapshot.url, moment, max_hops=2)
     for hop in chain[1:]:
-        if hop.url.host != snapshot.url.host and has_credential_fields(hop):
+        if hop.url.host != snapshot.url.host and hop.facts.has_credential_fields:
             return EvasiveVector.TWO_STEP
     # The landing page may point at an already-removed external target;
     # an outbound button with a dead cross-domain target still counts.
-    for anchor in snapshot.document.links():
-        classes = " ".join(anchor.classes).lower()
-        href = anchor.get("href")
-        if ("btn" in classes or "button" in classes) and href.startswith(
-            ("http://", "https://")
-        ):
-            target_host = href.split("//", 1)[1].split("/", 1)[0]
+    for anchor in snapshot.facts.anchors:
+        if anchor.button and anchor.href.startswith(("http://", "https://")):
+            target_host = anchor.href.split("//", 1)[1].split("/", 1)[0]
             if target_host != snapshot.url.host:
                 return EvasiveVector.TWO_STEP
     return None

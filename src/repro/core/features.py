@@ -29,7 +29,7 @@ from ..simnet.url import (
     URL,
     URLStringStats,
 )
-from ..webdoc import Document, Element, parse_html
+from ..webdoc import PageFacts, page_facts, parse_html
 
 #: Feature order of the base StackModel (8 URL + 12 HTML).
 BASE_FEATURE_NAMES: Tuple[str, ...] = (
@@ -69,22 +69,6 @@ FWB_FEATURE_NAMES: Tuple[str, ...] = tuple(
 URL_FEATURE_NAMES: Tuple[str, ...] = BASE_FEATURE_NAMES[:8]
 
 _TLD_TOKENS = (".com", ".net", ".org", ".info", ".xyz", ".top", ".live", ".io", ".me", ".app", ".site")
-
-_BANNER_CLASS_HINT = "fwb-banner"
-_BANNER_TEXT_HINTS = (
-    "powered by", "create your own", "create a free website", "made with",
-    "report abuse", "blog at", "free website",
-)
-
-
-def _looks_like_banner(element: Element) -> bool:
-    """Is ``element`` an FWB service banner, by class/id or by its text?"""
-    if _BANNER_CLASS_HINT in element.classes or element.id == "fwb-banner":
-        return True
-    if element.tag in ("div", "footer"):
-        text = element.text_content().lower()
-        return any(hint in text for hint in _BANNER_TEXT_HINTS)
-    return False
 
 
 def snapshot_key(url: Union[URL, str], markup: str) -> str:
@@ -165,10 +149,10 @@ class FeatureExtractor:
 
     # -- HTML features -------------------------------------------------------------
 
-    def _html_features(self, url: URL, document: Document, markup: str) -> Dict[str, float]:
+    def _html_features(self, url: URL, facts: PageFacts) -> Dict[str, float]:
         internal = external = empty = 0
-        for anchor in document.links():
-            href = anchor.get("href").strip()
+        for anchor in facts.anchors:
+            href = anchor.href.strip()
             if not href or href in ("#", "javascript:void(0)"):
                 empty += 1
             elif href.startswith(("http://", "https://")):
@@ -182,21 +166,13 @@ class FeatureExtractor:
             else:
                 internal += 1
 
-        forms = document.forms()
-        password_fields = document.password_inputs()
-        credential_inputs = document.credential_inputs()
-        has_login_form = 0.0
         external_action = 0.0
-        for form in forms:
-            inputs = form.find_all("input")
-            types = {i.get("type").lower() for i in inputs}
-            if "password" in types or len(credential_inputs) >= 2:
-                has_login_form = 1.0
-            action = form.get("action").strip()
+        for action in facts.form_actions:
+            action = action.strip()
             if action.startswith(("http://", "https://")) and url.host not in action:
                 external_action = 1.0
 
-        title = document.title.lower()
+        title = facts.title.lower()
         brand_hit = self._brand_token_in(title)
         mismatch = 0.0
         if brand_hit is not None:
@@ -207,27 +183,23 @@ class FeatureExtractor:
             if legit_core not in url.registered_domain:
                 mismatch = 1.0
 
-        # Either hiding mechanism counts: inline visibility/display styles
-        # (the paper's example) or an injected stylesheet rule. Filtering for
-        # hidden elements first means text is joined only for hidden
-        # <div>/<footer>s, one at a time, not for every <div> of the page.
-        obfuscated = any(_looks_like_banner(e) for e in document.hidden_elements())
-
         return {
             "n_internal_links": float(internal),
             "n_external_links": float(external),
             "n_empty_links": float(empty),
-            "has_login_form": has_login_form,
-            "n_password_fields": float(len(password_fields)),
-            "n_credential_inputs": float(len(credential_inputs)),
-            "html_length": float(len(markup)),
-            "n_iframes": float(len(document.iframes())),
-            "n_forms": float(len(forms)),
-            "n_images": float(len(document.find_all("img"))),
+            "has_login_form": 1.0 if facts.login_form else 0.0,
+            "n_password_fields": float(facts.n_password_inputs),
+            "n_credential_inputs": float(facts.n_credential_inputs),
+            "html_length": float(facts.markup_length),
+            "n_iframes": float(len(facts.iframe_srcs)),
+            "n_forms": float(len(facts.form_actions)),
+            "n_images": float(facts.n_images),
             "external_form_action": external_action,
             "title_brand_mismatch": mismatch,
-            "obfuscated_fwb_banner": 1.0 if obfuscated else 0.0,
-            "has_noindex": 1.0 if document.has_noindex() else 0.0,
+            # Either hiding mechanism counts: inline visibility/display
+            # styles (the paper's example) or an injected stylesheet rule.
+            "obfuscated_fwb_banner": 1.0 if facts.hidden_banner else 0.0,
+            "has_noindex": 1.0 if facts.noindex else 0.0,
         }
 
     # -- public API ------------------------------------------------------------------
@@ -243,26 +215,20 @@ class FeatureExtractor:
         """
         return PageFeatures(values=self._url_features(url))
 
-    def extract(
-        self,
-        url: URL,
-        page: Union[PageSnapshot, Document, str],
-    ) -> PageFeatures:
+    def extract(self, url: URL, page: Union[PageSnapshot, str]) -> PageFeatures:
         """Extract every feature from a page.
 
-        ``page`` may be a browser snapshot, a parsed document, or raw
-        markup; snapshots are the framework's normal path.
+        ``page`` is a browser snapshot (the framework's normal path) or raw
+        markup; both give the same values for the same markup.
         """
         if isinstance(page, PageSnapshot):
-            document, markup = page.document, page.markup
-        elif isinstance(page, Document):
-            document, markup = page, page.to_html()
+            facts = page.facts
         elif isinstance(page, str):
-            document, markup = parse_html(page), page
+            facts = page_facts(parse_html(page), page)
         else:
             raise FeatureError(
                 f"unsupported page type: {type(page).__name__}"
             )
         values = self._url_features(url)
-        values.update(self._html_features(url, document, markup))
+        values.update(self._html_features(url, facts))
         return PageFeatures(values=values)

@@ -6,17 +6,17 @@ feature set. Unreachable URLs are dropped, mirroring the real pipeline.
 
 The :class:`Preprocessor` is the process's one page store, read by the
 framework and by threat intel: a bounded LRU of what each page version's
-:func:`~repro.core.features.snapshot_key` determines (its parse, and its
-features once asked for). Fetch time, certificate, iframes, downloads and
-links can change while the markup does not, so every snapshot is
-assembled fresh. See ``docs/PERFORMANCE.md``.
+:func:`~repro.core.features.snapshot_key` determines (its parse, its
+:class:`~repro.webdoc.PageFacts`, and its features once asked for).
+Fetch time, certificate, iframes, downloads and links can change while
+the markup does not, so every snapshot is assembled fresh. See ``docs/PERFORMANCE.md``.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from ..obs.instrument import NULL_INSTRUMENTATION, Instrumentation
 from ..simnet.browser import Browser, PageSnapshot
 from ..simnet.url import URL
 from ..simnet.web import Web
-from ..webdoc import Document
+from ..webdoc import Document, PageFacts
 from .features import FeatureExtractor, PageFeatures, snapshot_key
 
 #: Capacity of the snapshot-keyed page store, in page versions. Every
@@ -41,6 +41,7 @@ class _StoredPage:
     """What one ``snapshot_key`` determines; features are filled lazily."""
 
     document: Document
+    facts: PageFacts
     features: Optional[PageFeatures] = None
     fwb_name: Optional[str] = None
 
@@ -61,35 +62,6 @@ class ProcessedPage:
     @property
     def base_vector(self) -> np.ndarray:
         return self.features.base_vector
-
-
-@dataclass(frozen=True)
-class SkippedURL:
-    """One URL a batch could not snapshot, with the reason it was skipped."""
-
-    url: URL
-    reason: str
-
-
-@dataclass
-class PreprocessBatch:
-    """Outcome of a batched preprocessing pass.
-
-    A single unreachable URL must never abort a serving batch: reachable
-    pages are returned in ``pages`` (input order preserved) and every
-    failure is reported in ``skipped`` rather than raised.
-    """
-
-    pages: List[ProcessedPage]
-    skipped: List[SkippedURL]
-
-    @property
-    def n_processed(self) -> int:
-        return len(self.pages)
-
-    @property
-    def n_skipped(self) -> int:
-        return len(self.skipped)
 
 
 class Preprocessor:
@@ -129,15 +101,16 @@ class Preprocessor:
         result = self.browser.fetch(url, now)
         if not result.ok or result.download is not None:
             snapshot = self.browser.snapshot_from(result, now)
-            return snapshot, _StoredPage(snapshot.document)  # not stored
+            return snapshot, _StoredPage(snapshot.document, snapshot.facts)  # not stored
         key = snapshot_key(url, result.markup)
         stored = self._page_cache.get(key)
         if stored is not None:
             self._page_cache.move_to_end(key)
             self._c_hit.inc()
-            return self.browser.snapshot_from(result, now, stored.document), stored
+            parsed = stored.document, stored.facts
+            return self.browser.snapshot_from(result, now, parsed), stored
         snapshot = self.browser.snapshot_from(result, now)
-        stored = _StoredPage(snapshot.document)
+        stored = _StoredPage(snapshot.document, snapshot.facts)
         self._c_miss.inc()
         self._page_cache[key] = stored
         while len(self._page_cache) > PAGE_CACHE_SIZE:
@@ -157,21 +130,3 @@ class Preprocessor:
             service = self.web.fwb_for(url)
             stored.fwb_name = service.name if service is not None else None
         return ProcessedPage(url, snapshot, stored.features, stored.fwb_name)
-
-    def process_batch_report(self, urls: List[URL], now: int) -> PreprocessBatch:
-        """Snapshot and featurize a batch, skipping-and-reporting failures.
-
-        One dead URL (taken down mid-batch, or a custom browser raising
-        :class:`~repro.errors.FetchError` while resolving sub-resources)
-        must not abort the other N-1: every failure becomes a
-        :class:`SkippedURL` entry instead of propagating.
-        """
-        pages: List[ProcessedPage] = []
-        skipped: List[SkippedURL] = []
-        for url in urls:
-            page = self.process(url, now)
-            if page is None:
-                skipped.append(SkippedURL(url=url, reason="unreachable"))
-                continue
-            pages.append(page)
-        return PreprocessBatch(pages=pages, skipped=skipped)

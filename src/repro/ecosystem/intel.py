@@ -113,13 +113,12 @@ def gather_intel(web: Web, pages: PageSource, url: URL, now: int) -> UrlIntel:
     if snapshot.certificate is not None:
         intel.cert_level = snapshot.certificate.level
 
-    document = snapshot.document
-    credential_inputs = document.credential_inputs()
-    intel.n_credential_inputs = len(credential_inputs)
-    intel.has_credential_form = bool(document.password_inputs()) or len(credential_inputs) >= 2
+    facts = snapshot.facts
+    intel.n_credential_inputs = facts.n_credential_inputs
+    intel.has_credential_form = facts.has_credential_fields
     intel.sensitive_url_words = count_sensitive_words(url)
-    intel.hidden_elements = document.has_hidden_elements()
-    intel.noindex = document.has_noindex()
+    intel.hidden_elements = facts.n_hidden > 0
+    intel.noindex = facts.noindex
     intel.external_iframe = any(
         src.host != url.host for src, _markup in snapshot.iframe_contents
     )
@@ -133,15 +132,14 @@ def gather_intel(web: Web, pages: PageSource, url: URL, now: int) -> UrlIntel:
     # Two-step shape: a page without credential fields whose main content
     # is an outbound call-to-action button.
     if not intel.has_credential_form and snapshot.outbound_links:
-        for anchor in document.links():
-            classes = " ".join(anchor.classes).lower()
-            if "btn" in classes or "button" in classes:
-                href = anchor.get("href")
-                if href.startswith(("http://", "https://")) and url.host not in href:
-                    intel.linkout_button = True
-                    break
+        intel.linkout_button = any(
+            anchor.button
+            and anchor.href.startswith(("http://", "https://"))
+            and url.host not in anchor.href
+            for anchor in facts.anchors
+        )
 
-    title = document.title.lower()
+    title = facts.title.lower()
     # Crude but effective: a sign-in title naming an organization whose
     # name does not appear in the serving host.
     if ("sign in" in title or "login" in title) and title:

@@ -8,9 +8,9 @@ simulated tick and flushes when either trigger fires:
 * the oldest pending request has waited ``max_wait_minutes`` of *simulated*
   time (the latency deadline).
 
-A flush runs the whole batch through
-:meth:`~repro.core.preprocess.Preprocessor.process_batch_report` and
-scores the reachable pages with **one**
+A flush runs each distinct URL through
+:meth:`~repro.core.preprocess.Preprocessor.process` and scores the
+reachable pages with **one**
 :meth:`~repro.core.classifier.FreePhishClassifier.classify_pages` call —
 duplicate URLs in a batch are scored once and fanned back out to every
 waiting request.
@@ -27,7 +27,7 @@ from typing import Deque, Dict, List, Optional
 
 from ..core.classifier import FreePhishClassifier
 from ..core.extension import NavigationVerdict
-from ..core.preprocess import Preprocessor
+from ..core.preprocess import Preprocessor, ProcessedPage
 from ..errors import ConfigError
 from ..obs.instrument import NULL_INSTRUMENTATION, Instrumentation
 from ..simnet.url import URL
@@ -161,19 +161,25 @@ class MicroBatcher:
     def _score_unique(
         self, unique: Dict[str, URL], now: int
     ) -> Dict[str, "tuple[NavigationVerdict, Optional[float]]"]:
-        """One snapshot pass + one ``classify_pages`` call for the batch."""
-        report = self.preprocessor.process_batch_report(list(unique.values()), now)
-        outcomes: Dict[str, "tuple[NavigationVerdict, Optional[float]]"] = {
-            cache_key(skip.url): (NavigationVerdict.UNREACHABLE, None)
-            for skip in report.skipped
-        }
-        for page, prediction in zip(
-            report.pages, self.classifier.classify_pages(report.pages)
-        ):
+        """One snapshot pass + one ``classify_pages`` call for the batch.
+
+        A URL that cannot be fetched becomes ``UNREACHABLE`` and never
+        aborts the rest of the batch.
+        """
+        outcomes: Dict[str, "tuple[NavigationVerdict, Optional[float]]"] = {}
+        reachable: Dict[str, ProcessedPage] = {}
+        for key, url in unique.items():
+            page = self.preprocessor.process(url, now)
+            if page is None:
+                outcomes[key] = (NavigationVerdict.UNREACHABLE, None)
+            else:
+                reachable[key] = page
+        predictions = self.classifier.classify_pages(list(reachable.values()))
+        for key, prediction in zip(reachable, predictions):
             verdict = (
                 NavigationVerdict.BLOCKED_CLASSIFIER
                 if prediction.label == 1
                 else NavigationVerdict.ALLOWED
             )
-            outcomes[cache_key(page.url)] = (verdict, prediction.probability)
+            outcomes[key] = (verdict, prediction.probability)
         return outcomes

@@ -19,8 +19,9 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Protocol, Tuple
 
 from ..errors import FetchError, SiteRemovedError, URLError
-from ..webdoc import Document, VisualSignature, parse_html, render_signature
-from ..webdoc.dom import is_download_link
+from ..webdoc import (
+    Document, PageFacts, VisualSignature, page_facts, parse_html, render_signature,
+)
 from .hosting import FileAsset
 from .tls import Certificate
 from .url import URL, parse_url
@@ -53,6 +54,8 @@ class PageSnapshot:
     fetched_at: int
     markup: str
     document: Document
+    #: What the page readers use, read once from ``document``.
+    facts: PageFacts
     certificate: Optional[Certificate]
     #: (iframe src URL, markup of the framed page) for same-session resolvable
     #: frames; unresolvable/external-dead frames carry empty markup.
@@ -126,24 +129,30 @@ class Browser:
         return self.snapshot_from(self.fetch(url, now), now)
 
     def snapshot_from(
-        self, result: FetchResult, now: int, document: Optional[Document] = None
+        self,
+        result: FetchResult,
+        now: int,
+        parsed: Optional[Tuple[Document, PageFacts]] = None,
     ) -> PageSnapshot:
         """Complete a snapshot from an already-fetched :class:`FetchResult`.
 
-        The markup is parsed unless its ``document`` is passed in; the rest
-        is read at ``now`` on every call. The simulated web is deterministic
-        at fixed ``now``, so the result is identical to :meth:`snapshot`.
+        The markup is parsed and its facts read unless that ``parsed`` pair
+        is passed in; the rest is read at ``now`` on every call. The
+        simulated web is deterministic at fixed ``now``, so the result is
+        identical to :meth:`snapshot`.
         """
         url = result.url
         if not result.ok:
             raise SiteRemovedError(f"cannot snapshot {url} (status {result.status})")
-        if document is None:
+        if parsed is None:
             document = parse_html(result.markup)
+            parsed = document, page_facts(document, result.markup)
         snapshot = PageSnapshot(
             url=url,
             fetched_at=now,
             markup=result.markup,
-            document=document,
+            document=parsed[0],
+            facts=parsed[1],
             certificate=result.certificate,
         )
         if result.download is not None:
@@ -169,8 +178,8 @@ class Browser:
             return None
 
     def _resolve_iframes(self, snapshot: PageSnapshot, now: int) -> None:
-        for iframe in snapshot.document.iframes():
-            src = self._absolute(snapshot.url, iframe.get("src"))
+        for src_attr in snapshot.facts.iframe_srcs:
+            src = self._absolute(snapshot.url, src_attr)
             if src is None:
                 continue
             framed = self.fetch(src, now)
@@ -179,13 +188,13 @@ class Browser:
             )
 
     def _collect_links(self, snapshot: PageSnapshot, now: int) -> None:
-        for anchor in snapshot.document.links():
-            target = self._absolute(snapshot.url, anchor.get("href"))
+        for anchor in snapshot.facts.anchors:
+            target = self._absolute(snapshot.url, anchor.href)
             if target is None:
                 continue
             if target.host != snapshot.url.host:
                 snapshot.outbound_links.append(target)
-            if is_download_link(anchor):
+            if anchor.download:
                 fetched = self.fetch(target, now)
                 if fetched.ok and fetched.download is not None:
                     snapshot.downloads.append(fetched.download)
@@ -216,14 +225,10 @@ class Browser:
 
     def _primary_action_target(self, snapshot: PageSnapshot) -> Optional[URL]:
         """The URL a user lands on after clicking the page's main button."""
-        # Prefer explicit button-like anchors, then any outbound link.
-        for anchor in snapshot.document.links():
-            classes = " ".join(anchor.classes).lower()
-            text = anchor.text_content().lower()
-            if "button" in classes or "btn" in classes or any(
-                word in text for word in ("continue", "login", "sign in", "verify", "claim")
-            ):
-                target = self._absolute(snapshot.url, anchor.get("href"))
+        # Prefer call-to-action anchors, then any outbound link.
+        for anchor in snapshot.facts.anchors:
+            if anchor.call_to_action:
+                target = self._absolute(snapshot.url, anchor.href)
                 if target is not None and target.host != snapshot.url.host:
                     return target
         if snapshot.outbound_links:

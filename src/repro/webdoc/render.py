@@ -102,9 +102,12 @@ def render_signature(doc_or_markup: Union[Document, str]) -> VisualSignature:
     for i, tag in enumerate(_MEDIA_TAGS):
         vector[15 + i] = np.log1p(len(document.find_all(tag)))
 
-    vector[19] = np.log1p(len(document.forms()))
-    vector[20] = np.log1p(len(document.inputs()))
-    vector[21] = np.log1p(len(document.password_inputs()))
+    inputs = document.find_all("input")
+    vector[19] = np.log1p(len(document.find_all("form")))
+    vector[20] = np.log1p(len(inputs))
+    vector[21] = np.log1p(
+        sum(1 for i in inputs if i.get("type").lower() == "password")
+    )
     vector[22] = np.log1p(len(document.find_all("button")))
 
     for token in document.title.lower().split():

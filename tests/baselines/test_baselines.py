@@ -13,7 +13,7 @@ from repro.core import FreePhishClassifier
 from repro.errors import NotFittedError
 from repro.ml import StackModel, train_test_split
 from repro.simnet import Browser
-from repro.webdoc import parse_html
+from repro.webdoc import page_facts, parse_html
 
 
 @pytest.fixture(scope="module")
@@ -162,14 +162,12 @@ class TestPhishIntention:
             framed = [markup for _src, markup in snapshot.iframe_contents]
             chain = browser.follow_workflow(page.url, now, max_hops=detector.max_hops)
             for markup in [snapshot.markup] + framed:
-                document = parse_html(markup)
-                if document.password_inputs() or len(document.credential_inputs()) >= 2:
+                if page_facts(parse_html(markup), markup).has_credential_fields:
                     return True
             if any(a.malicious for a in snapshot.downloads):
                 return True
             for hop in chain[1:]:
-                document = parse_html(hop.markup)
-                if document.password_inputs() or len(document.credential_inputs()) >= 2:
+                if page_facts(parse_html(hop.markup), hop.markup).has_credential_fields:
                     return True
                 if any(a.malicious for a in hop.downloads):
                     return True

@@ -13,6 +13,8 @@ import numpy as np
 import pytest
 
 from repro.config import SimulationConfig
+from repro.core.classifier import FreePhishClassifier
+from repro.ml import RandomForestClassifier
 from repro.sim import CampaignWorld, build_ground_truth
 from repro.simnet import Browser, Web
 from repro.sitegen import (
@@ -57,6 +59,20 @@ def kit_generator() -> PhishingKitGenerator:
 def ground_truth():
     """A small but realistic featurized ground-truth corpus."""
     return build_ground_truth(n_per_class=80, seed=3)
+
+
+@pytest.fixture(scope="session")
+def trained_classifier(ground_truth):
+    """A FreePhish classifier fitted on the shared ground-truth corpus.
+
+    Read-only across the suite; services and batchers built on top each
+    own their cache/batcher state.
+    """
+    classifier = FreePhishClassifier(
+        model=RandomForestClassifier(n_estimators=20, random_state=0)
+    )
+    classifier.fit_pages(ground_truth.pages, ground_truth.labels)
+    return classifier
 
 
 @pytest.fixture(scope="session")

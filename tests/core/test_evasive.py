@@ -1,6 +1,6 @@
 """§5.5 evasive-vector heuristics."""
 
-from repro.core.evasive import EvasiveVector, classify_evasive, has_credential_fields
+from repro.core.evasive import EvasiveVector, classify_evasive
 from repro.simnet import Browser
 from repro.sitegen.phishing import PhishingVariant
 
@@ -20,7 +20,7 @@ class TestHeuristics:
         snap = _snapshot_for(
             web, phishing_generator, rng, "weebly", PhishingVariant.CREDENTIAL
         )
-        assert has_credential_fields(snap)
+        assert snap.facts.has_credential_fields
         assert classify_evasive(snap, Browser(web)) is None
 
     def test_two_step_classified(self, web, phishing_generator, rng, parse_calls):

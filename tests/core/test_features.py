@@ -9,6 +9,7 @@ from repro.core.features import (
 )
 from repro.errors import FeatureError
 from repro.simnet.url import parse_url
+from repro.webdoc import parse_html
 
 
 @pytest.fixture(scope="module")
@@ -105,5 +106,17 @@ class TestExtraction:
             features.vector(["no_such_feature"])  # reprolint: disable=RP301 — deliberately unknown name; asserts FeatureError
 
     def test_unsupported_page_type(self, extractor):
+        url = parse_url("https://x.weebly.com/")
         with pytest.raises(FeatureError):
-            extractor.extract(parse_url("https://x.weebly.com/"), 12345)
+            extractor.extract(url, 12345)
+        # A parsed document has no markup to measure: pass the snapshot or
+        # the markup instead.
+        with pytest.raises(FeatureError):
+            extractor.extract(url, parse_html(BENIGN_MARKUP))
+
+    def test_markup_and_snapshot_give_identical_values(self, extractor, ground_truth):
+        for page in ground_truth.pages:
+            snapshot = page.snapshot
+            from_markup = extractor.extract(page.url, snapshot.markup).values
+            assert extractor.extract(page.url, snapshot).values == from_markup
+            assert from_markup["html_length"] == len(snapshot.markup)

@@ -68,8 +68,9 @@ class TestFreshAssembly:
         later = pre.process(url, AFTER)
         assert later.snapshot.fetched_at == AFTER
         assert [markup for _src, markup in later.snapshot.iframe_contents] == [""]
-        # Same page version: the parse and the features are shared.
+        # Same page version: the parse, its facts and the features are shared.
         assert later.snapshot.document is first.snapshot.document
+        assert later.snapshot.facts is first.snapshot.facts
         assert later.features is first.features
 
     def test_download_takedown_is_seen_on_a_store_hit(self, corpus):

@@ -8,10 +8,12 @@ from repro.core import (
     Preprocessor,
     StreamingModule,
 )
+from repro.core.extension import NavigationVerdict
 from repro.core.reporting import ReportingModule
 from repro.ecosystem.takedown import AbuseDesk
 from repro.errors import NotFittedError, StreamError
 from repro.ml import RandomForestClassifier
+from repro.serve.batching import MicroBatcher
 from repro.simnet.url import parse_url
 from repro.social import (
     CrowdTangleAPI,
@@ -34,44 +36,56 @@ class TestPreprocessor:
         pre = Preprocessor(web)
         assert pre.process(parse_url("https://ghost.example.org/"), 0) is None
 
-    def test_batch_and_matrix(self, web, benign_generator, rng):
+    @staticmethod
+    def _flush(pre, classifier, urls, now):
+        """Score ``urls`` as one serving batch."""
+        batcher = MicroBatcher(pre, classifier, max_batch_size=len(urls))
+        for url in urls:
+            batcher.submit(url, now)
+        return batcher.flush(now)
+
+    def test_batch_and_matrix(self, web, benign_generator, rng,
+                              trained_classifier):
         pre = Preprocessor(web)
         urls = [
             benign_generator.create_fwb_site(web.fwb_providers["wix"], 0, rng).root_url
             for _ in range(3)
         ]
-        pages = pre.process_batch_report(urls, now=5).pages
-        assert len(pages) == 3
+        verdicts = self._flush(pre, trained_classifier, urls, now=5)
+        assert [v.url for v in verdicts] == urls
+        assert all(v.probability is not None for v in verdicts)
+        pages = [pre.process(url, now=5) for url in urls]
         assert np.vstack([page.fwb_vector for page in pages]).shape == (3, 20)
 
     def test_batch_skips_and_reports_unreachable(self, web, benign_generator,
-                                                 rng):
+                                                 rng, trained_classifier):
         pre = Preprocessor(web)
         live = [
             benign_generator.create_fwb_site(web.fwb_providers["wix"], 0, rng).root_url
             for _ in range(2)
         ]
         ghost = parse_url("https://ghost.weebly.com/")
-        report = pre.process_batch_report([live[0], ghost, live[1]], now=5)
+        verdicts = self._flush(pre, trained_classifier, [live[0], ghost, live[1]], now=5)
         # The dead URL is reported, not raised, and does not abort the batch.
-        assert report.n_processed == 2
-        assert [str(p.url) for p in report.pages] == [str(u) for u in live]
-        assert report.n_skipped == 1
-        assert str(report.skipped[0].url) == str(ghost)
-        assert report.skipped[0].reason == "unreachable"
+        assert [str(v.url) for v in verdicts] == [str(live[0]), str(ghost), str(live[1])]
+        assert [v.verdict is NavigationVerdict.UNREACHABLE for v in verdicts] == [
+            False, True, False,
+        ]
+        assert [v.probability is None for v in verdicts] == [False, True, False]
 
     def test_batch_reports_mid_batch_takedown(self, web, phishing_generator,
-                                              rng):
+                                              rng, trained_classifier):
         pre = Preprocessor(web)
         sites = [
             phishing_generator.create_site(web.fwb_providers["weebly"], 0, rng)
             for _ in range(3)
         ]
         web.take_down(sites[1].root_url, now=3)
-        report = pre.process_batch_report([s.root_url for s in sites], now=5)
-        assert report.n_processed == 2
-        assert report.n_skipped == 1
-        assert str(report.skipped[0].url) == str(sites[1].root_url)
+        verdicts = self._flush(pre, trained_classifier, [s.root_url for s in sites], now=5)
+        assert [v.verdict is NavigationVerdict.UNREACHABLE for v in verdicts] == [
+            False, True, False,
+        ]
+        assert str(verdicts[1].url) == str(sites[1].root_url)
 
 
 class TestClassifier:

@@ -9,7 +9,9 @@ marked section with an unknown keyword (``<![invalid]>``) made
 
 import pytest
 
+from repro.core.extension import NavigationVerdict
 from repro.core.preprocess import Preprocessor
+from repro.serve.batching import MicroBatcher
 from repro.serve.service import ServedFrom, VerdictService
 
 DEPTH = 5000
@@ -42,13 +44,22 @@ def urls(web, benign_generator, rng):
     return attacker.root_url, benign.root_url
 
 
-def test_preprocess_batch_keeps_every_page(web, urls):
-    report = Preprocessor(web).process_batch_report(list(urls), now=0)
-    assert report.skipped == []
-    assert [page.url for page in report.pages] == list(urls)
-    deep = report.pages[0].features.values
-    assert deep["n_external_links"] == 1.0
-    assert deep["n_password_fields"] == 1.0
+def _flush(pre, classifier, urls):
+    batcher = MicroBatcher(pre, classifier)
+    for url in urls:
+        batcher.submit(url, now=0)
+    return batcher.flush(now=0)
+
+
+def test_preprocess_batch_keeps_every_page(web, trained_classifier, urls):
+    pre = Preprocessor(web)
+    verdicts = _flush(pre, trained_classifier, urls)
+    assert [v.url for v in verdicts] == list(urls)
+    assert all(v.verdict is not NavigationVerdict.UNREACHABLE for v in verdicts)
+    deep = pre.process(urls[0], now=0)
+    assert deep.features.values["n_external_links"] == 1.0
+    assert deep.features.values["n_password_fields"] == 1.0
+    assert deep.snapshot.facts.anchors[0].href == "https://collector.example.net/login"
 
 
 @pytest.fixture()
@@ -59,16 +70,17 @@ def marked_urls(web, benign_generator, rng):
     return attacker.root_url, benign.root_url
 
 
-def test_preprocess_batch_survives_unknown_marked_section(web, marked_urls):
+def test_preprocess_batch_survives_unknown_marked_section(web, trained_classifier,
+                                                          marked_urls):
     pre = Preprocessor(web)
-    report = pre.process_batch_report(list(marked_urls), now=0)
-    assert report.skipped == []
-    assert [page.url for page in report.pages] == list(marked_urls)
+    verdicts = _flush(pre, trained_classifier, marked_urls)
+    assert [v.url for v in verdicts] == list(marked_urls)
+    assert all(v.verdict is not NavigationVerdict.UNREACHABLE for v in verdicts)
     snapshot = pre.snapshot(marked_urls[0], now=5)
     # The section adds no element and no text; parsing carries on after it.
-    assert snapshot.document.title == "Verify account"
+    assert snapshot.facts.title == "Verify account"
     assert [p.text_content() for p in snapshot.document.find_all("p")] == ["ab"]
-    assert len(snapshot.document.password_inputs()) == 1
+    assert snapshot.facts.n_password_inputs == 1
 
 
 def test_serve_drain_survives_unknown_marked_section(web, trained_classifier,

@@ -39,7 +39,7 @@ class TestDeepChains:
                                         max_hops=4)
         assert len(chain) >= 2
         final = chain[-1]
-        assert final.document.password_inputs() or final.document.credential_inputs()
+        assert final.facts.n_password_inputs or final.facts.n_credential_inputs
 
     def test_relay_page_is_marked_linked_only(self, deep_world):
         web, attacker = deep_world

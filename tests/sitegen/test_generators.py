@@ -11,7 +11,11 @@ from repro.sitegen import (
 )
 from repro.sitegen.phishing import PhishingMixture
 from repro.simnet.fwb import fwb_by_name
-from repro.webdoc import parse_html
+from repro.webdoc import page_facts, parse_html
+
+
+def _facts(markup):
+    return page_facts(parse_html(markup), markup)
 
 
 @pytest.fixture()
@@ -38,7 +42,7 @@ class TestTemplates:
     def test_noindex_meta(self, templates, rng):
         service = fwb_by_name("wix")
         spec = PageSpec(title="T", blocks=[], noindex=True)
-        assert parse_html(templates.render(service, spec, rng)).has_noindex()
+        assert _facts(templates.render(service, spec, rng)).noindex
 
     def test_bare_render_for_github(self, templates, rng):
         service = fwb_by_name("github_io")
@@ -53,7 +57,7 @@ class TestTemplates:
             blocks=[ContentBlock("form", fields=["email", "password", "ssn"])],
         )
         doc = parse_html(templates.render(fwb_by_name("weebly"), spec, rng))
-        types = [i.get("type") for i in doc.inputs()]
+        types = [i.get("type") for i in doc.find_all("input")]
         assert "password" in types and "email" in types
 
     def test_same_service_shares_boilerplate(self, templates, rng):
@@ -101,8 +105,7 @@ class TestPhishingGenerator:
                                variant=PhishingVariant.CREDENTIAL)
         spec.cloaked = False
         site = gen.create_site(provider, 0, rng, spec=spec)
-        doc = parse_html(site.pages["/"])
-        assert doc.password_inputs() or len(doc.credential_inputs()) >= 2
+        assert _facts(site.pages["/"]).has_credential_fields
         assert site.metadata["is_phishing"] is True
         assert site.metadata["has_credential_form"] is True
 
@@ -114,9 +117,9 @@ class TestPhishingGenerator:
             target_url="https://evil.example.xyz/login",
         )
         site = gen.create_site(provider, 0, rng, spec=spec)
-        doc = parse_html(site.pages["/"])
-        assert not doc.password_inputs()
-        hrefs = [a.get("href") for a in doc.links()]
+        facts = _facts(site.pages["/"])
+        assert facts.n_password_inputs == 0
+        hrefs = [a.href for a in facts.anchors]
         assert "https://evil.example.xyz/login" in hrefs
 
     def test_iframe_variant_embeds_external(self, web, rng):
@@ -127,8 +130,7 @@ class TestPhishingGenerator:
             target_url="https://evil.example.xyz/frame",
         )
         site = gen.create_site(provider, 0, rng, spec=spec)
-        doc = parse_html(site.pages["/"])
-        assert doc.iframes()[0].get("src") == "https://evil.example.xyz/frame"
+        assert _facts(site.pages["/"]).iframe_srcs[0] == "https://evil.example.xyz/frame"
 
     def test_driveby_attaches_malicious_file(self, web, rng):
         gen = PhishingSiteGenerator()
@@ -152,8 +154,7 @@ class TestPhishingGenerator:
         provider = web.fwb_providers["weebly"]
         site = gen.create_site(provider, 0, rng)
         assert site.metadata["noindex"] is True
-        doc = parse_html(site.pages["/"])
-        assert doc.has_noindex()
+        assert _facts(site.pages["/"]).noindex
 
     def test_cloaked_pages_use_benign_names(self, web, rng):
         gen = PhishingSiteGenerator(mixture=PhishingMixture(cloak_rate=1.0))
@@ -170,8 +171,7 @@ class TestKitGenerator:
         site = kit_generator.create_site(web.self_hosting, now=500, rng=rng)
         record = web.whois.lookup(site.root_url, now=500)
         assert record.age_minutes == 0
-        doc = parse_html(site.pages["/"])
-        assert doc.password_inputs()
+        assert _facts(site.pages["/"]).n_password_inputs
         assert site.metadata["variant"] == "credential"
 
     def test_https_mix(self, web, kit_generator, rng):

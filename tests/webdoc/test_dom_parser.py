@@ -3,7 +3,11 @@
 import pytest
 
 from repro.errors import ParseError
-from repro.webdoc import Element, parse_html
+from repro.webdoc import Anchor, Element, page_facts, parse_html
+
+
+def _facts(markup):
+    return page_facts(parse_html(markup), markup)
 
 
 class TestParser:
@@ -22,7 +26,7 @@ class TestParser:
 
     def test_void_elements_do_not_nest(self):
         doc = parse_html("<body><input type='text'><input type='password'></body>")
-        inputs = doc.inputs()
+        inputs = doc.find_all("input")
         assert len(inputs) == 2
         assert all(not i.children for i in inputs)
 
@@ -45,8 +49,7 @@ class TestParser:
         assert div.classes == ["a", "b"]
 
     def test_nonstandard_noindex_element(self):
-        doc = parse_html("<noindex></noindex><body>x</body>")
-        assert doc.has_noindex()
+        assert _facts("<noindex></noindex><body>x</body>").noindex
 
     def test_rejects_non_string(self):
         with pytest.raises(ParseError):
@@ -61,7 +64,7 @@ class TestParser:
         doc = parse_html(markup)
         again = parse_html(doc.to_html())
         assert again.title == "R"
-        assert again.links()[0].get("href") == "/x"
+        assert again.find("a").get("href") == "/x"
 
 
 class TestQueries:
@@ -81,18 +84,26 @@ class TestQueries:
     """
 
     def test_noindex_detected(self):
-        assert parse_html(self.MARKUP).has_noindex()
+        assert _facts(self.MARKUP).noindex
+        assert not _facts("<meta name='robots' content='nofollow'>").noindex
 
     def test_password_inputs(self):
-        assert len(parse_html(self.MARKUP).password_inputs()) == 1
+        assert _facts(self.MARKUP).n_password_inputs == 1
 
     def test_credential_inputs_include_ssn(self):
-        doc = parse_html(self.MARKUP)
-        names = {i.get("name") for i in doc.credential_inputs()}
-        assert names == {"email", "pass", "ssn_number"}
+        assert _facts(self.MARKUP).n_credential_inputs == 3
+        # By type, by name and by placeholder; a plain text input is not one.
+        for markup in ("<input type='email'>", "<input name='ssn_number'>",
+                       "<input placeholder='Social Security Number'>"):
+            assert _facts(markup).n_credential_inputs == 1, markup
+        assert _facts("<input type='text' name='city'>").n_credential_inputs == 0
 
     def test_download_links(self):
-        assert len(parse_html(self.MARKUP).download_links()) == 1
+        anchors = _facts(self.MARKUP).anchors
+        assert anchors == (
+            Anchor("https://evil.example.com/payload.exe", False, False, True),
+        )
+        assert _facts("<a href='/Setup.EXE'>x</a>").anchors[0].download
 
     def test_hidden_element_detection(self):
         doc = parse_html(self.MARKUP)
@@ -108,7 +119,7 @@ class TestQueries:
         assert not doc.find("div").is_hidden()
 
     def test_iframes(self):
-        assert len(parse_html(self.MARKUP).iframes()) == 1
+        assert _facts(self.MARKUP).iframe_srcs == ("https://other.example.net/",)
 
     def test_text_content(self):
         doc = parse_html("<body><p>a <b>b</b> c</p></body>")

@@ -6,7 +6,7 @@ from repro.core.features import FeatureExtractor
 from repro.simnet.fwb import fwb_by_name
 from repro.simnet.url import parse_url
 from repro.sitegen.templates import ContentBlock, PageSpec, TemplateLibrary
-from repro.webdoc import parse_html
+from repro.webdoc import page_facts, parse_html
 
 SHEET_HIDDEN = """
 <html><head><style>
@@ -20,27 +20,38 @@ SHEET_HIDDEN = """
 """
 
 
+def _facts(markup):
+    return page_facts(parse_html(markup), markup)
+
+
 class TestStylesheetHiding:
     def test_hidden_selectors_extracted(self):
-        document = parse_html(SHEET_HIDDEN)
-        assert set(document.stylesheet_hidden_selectors()) == {"fwb-banner", "secret"}
+        # Each rule hides its own selector: dropping one rule un-hides
+        # exactly one element.
+        assert _facts(SHEET_HIDDEN).n_hidden == 2
+        assert _facts(SHEET_HIDDEN.replace(".fwb-banner {", ".other {")).n_hidden == 1
+        assert _facts(SHEET_HIDDEN.replace("#secret {", "#other {")).n_hidden == 1
+        # A rule that neither hides nor suppresses display hides nothing.
+        assert _facts(
+            "<style>#x { color: red }</style><p id='x'>shown</p>"
+        ).n_hidden == 0
 
     def test_is_element_hidden_by_class_and_id(self):
-        document = parse_html(SHEET_HIDDEN)
-        banner = document.find(predicate=lambda e: "fwb-banner" in e.classes)
-        secret = document.find(predicate=lambda e: e.id == "secret")
-        visible = document.find(predicate=lambda e: e.id == "visible")
-        assert document.is_element_hidden(banner)
-        assert document.is_element_hidden(secret)
-        assert not document.is_element_hidden(visible)
+        by_class = _facts(SHEET_HIDDEN.replace("#secret {", "#other {"))
+        assert by_class.hidden_banner
+        by_id = _facts(SHEET_HIDDEN.replace(".fwb-banner {", ".other {"))
+        assert not by_id.hidden_banner
+        # The <style> block applies wherever it sits, even after the element.
+        late = "<body><p id='secret'>x</p><style>#secret{display:none}</style></body>"
+        assert _facts(late).n_hidden == 1
 
     def test_has_hidden_elements(self):
-        assert parse_html(SHEET_HIDDEN).has_hidden_elements()
-        assert not parse_html("<body><p>plain</p></body>").has_hidden_elements()
+        assert _facts(SHEET_HIDDEN).n_hidden > 0
+        assert _facts("<body><p>plain</p></body>").n_hidden == 0
 
     def test_inline_hiding_still_detected(self):
         markup = '<body><div style="display:none">x</div></body>'
-        assert parse_html(markup).has_hidden_elements()
+        assert _facts(markup).n_hidden == 1
 
 
 class TestGeneratorIntegration:
