@@ -2,15 +2,17 @@
 
 Feature extraction, intel gathering, the evasive-vector heuristics and the
 browser's link/iframe/download collection all read the same few facts from
-a page. Each test runs one reader over a fixed corpus and compares the
+a page; the visual baselines read its rendered signatures and
+PhishIntention's dynamic phase follows its call-to-action chain. Each test runs one reader over a fixed corpus and compares the
 sha256 of its outputs with a recorded digest, so a refactor of how pages
 are read that changes any value on any page changes a digest.
 
 The corpus is a ``build_ground_truth`` set, one site of every
 :class:`~repro.sitegen.phishing.PhishingVariant` with each banner-hiding
 style, self-hosted kit and benign sites, and a few hand-written pages for
-rules the generators never exercise, both hosted and as raw markup. The intel and evasive readers run
-again after the external targets are taken down.
+rules the generators never exercise, both hosted and as raw markup. The
+intel, evasive and credential-interface readers run again after the
+external targets are taken down.
 """
 
 import hashlib
@@ -19,8 +21,10 @@ import json
 import numpy as np
 import pytest
 
+from repro.baselines import PhishIntentionDetector
 from repro.core.evasive import classify_evasive
 from repro.core.features import FeatureExtractor
+from repro.core.preprocess import ProcessedPage
 from repro.ecosystem.intel import gather_intel
 from repro.sim import build_ground_truth
 from repro.simnet import Browser
@@ -32,6 +36,7 @@ from repro.sitegen import (
     PhishingSiteGenerator,
 )
 from repro.sitegen.phishing import PhishingVariant
+from repro.webdoc.render import region_signatures
 
 BEFORE, TAKEDOWN, AFTER = 10, 100, 500
 
@@ -179,4 +184,43 @@ def test_intel_and_evasive_digests(corpus):
     )
     assert _digest([evasive_before, evasive_after]) == (
         "3f49ddd99642a72bcab78e9f8e3f32c3e15f124999a77afe7701a492edb9962c"
+    )
+
+
+def test_visual_signatures_digest(corpus):
+    web, urls = corpus
+    browser = Browser(web)
+    rows = []
+    for url in urls:
+        snapshot = browser.snapshot(url, BEFORE)
+        rows.append([
+            snapshot.signature.vector.tolist(),
+            [region.vector.tolist()
+             for region in region_signatures(snapshot.document, max_regions=12)],
+        ])
+    assert _digest(rows) == (
+        "26facc6722b02809d405372bb36c7dcf289c2adb0866dd990ebb913efc63353a"
+    )
+
+
+def test_credential_interface_digest(corpus):
+    """PhishIntention's dynamic phase, with a browser as its page source."""
+    web, urls = corpus
+    browser = Browser(web)
+    extractor = FeatureExtractor()
+    detector = PhishIntentionDetector(browser)
+
+    def observe(now):
+        outcomes = []
+        for url in urls:
+            snapshot = browser.snapshot(url, now)
+            page = ProcessedPage(url, snapshot, extractor.extract(url, snapshot), None)
+            outcomes.append(detector._credential_interface(page, now))
+        return outcomes
+
+    before = observe(BEFORE)
+    _take_down_targets(web)
+    after = observe(AFTER)
+    assert _digest([before, after]) == (
+        "0f38e1702f0461b662bc8f07fb059e77f94f83f463e8d280b23febf3aacd5148"
     )
