@@ -16,7 +16,6 @@ from repro.config import SimulationConfig
 from repro.core.preprocess import Preprocessor
 from repro.obs import NULL_INSTRUMENTATION
 from repro.sim import CampaignWorld
-from repro.simnet import Browser
 
 
 @pytest.fixture(scope="module")
@@ -32,7 +31,7 @@ def pipeline_world(bench_campaign):
 
 def test_snapshot_and_feature_extraction_rate(benchmark, pipeline_world):
     world, site = pipeline_world
-    preprocessor = Preprocessor(world.web, Browser(world.web))
+    preprocessor = Preprocessor(world.web)
 
     page = benchmark(preprocessor.process, site.root_url, 10 ** 7 + 5)
     assert page is not None
@@ -45,7 +44,7 @@ def test_snapshot_and_feature_extraction_rate(benchmark, pipeline_world):
 
 def test_classifier_inference_rate(benchmark, pipeline_world):
     world, site = pipeline_world
-    preprocessor = Preprocessor(world.web, Browser(world.web))
+    preprocessor = Preprocessor(world.web)
     page = preprocessor.process(site.root_url, 10 ** 7 + 5)
 
     prediction = benchmark(world.classifier.classify_page, page)

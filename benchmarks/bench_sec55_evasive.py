@@ -12,13 +12,13 @@ from collections import Counter
 from conftest import emit
 
 from repro.core.evasive import classify_evasive
+from repro.core.preprocess import Preprocessor
 from repro.errors import FetchError
-from repro.simnet import Browser
 from repro.simnet.url import parse_url
 
 
 def _sweep(world, result):
-    browser = Browser(world.web)
+    pages = Preprocessor(world.web)
     per_fwb = Counter()
     vectors = Counter()
     no_credentials = 0
@@ -26,14 +26,14 @@ def _sweep(world, result):
     for timeline in result.fwb_timelines:
         url = parse_url(timeline.url)
         try:
-            snapshot = browser.snapshot(url, timeline.first_seen)
+            snapshot = pages.snapshot(url, timeline.first_seen)
         except FetchError:
             continue
         total += 1
         if snapshot.facts.has_credential_fields:
             continue
         no_credentials += 1
-        vector = classify_evasive(snapshot, browser, timeline.first_seen)
+        vector = classify_evasive(snapshot, pages, timeline.first_seen)
         if vector is not None:
             vectors[vector.value] += 1
             per_fwb[(timeline.fwb_name, vector.value)] += 1

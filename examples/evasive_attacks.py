@@ -14,7 +14,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.evasive import classify_evasive
-from repro.simnet import Browser, Web
+from repro.core.preprocess import Preprocessor
+from repro.simnet import Web
+from repro.simnet.browser import follow_workflow
 from repro.sitegen import PhishingSiteGenerator
 from repro.sitegen.kits import PhishingKitGenerator
 from repro.sitegen.phishing import PhishingVariant
@@ -23,7 +25,8 @@ from repro.sitegen.phishing import PhishingVariant
 def main() -> None:
     rng = np.random.default_rng(5)
     web = Web()
-    browser = Browser(web)
+    # One page store for the landing pages and every hop behind them.
+    pages = Preprocessor(web)
     phishing_generator = PhishingSiteGenerator()
     kit_generator = PhishingKitGenerator()
 
@@ -46,7 +49,7 @@ def main() -> None:
 
     for site in cases:
         url = site.root_url
-        snapshot = browser.snapshot(url, now=10)
+        snapshot = pages.snapshot(url, now=10)
         print(f"-- {url}  (truth: {site.metadata['variant']})")
         print(f"   credential fields on the page itself: "
               f"{snapshot.facts.has_credential_fields}")
@@ -55,10 +58,10 @@ def main() -> None:
               f"{[(str(src), bool(markup)) for src, markup in snapshot.iframe_contents]}")
         print(f"   downloads: "
               f"{[(a.filename, a.vt_detections) for a in snapshot.downloads]}")
-        vector = classify_evasive(snapshot, browser, now=10)
+        vector = classify_evasive(snapshot, pages, now=10)
         print(f"   heuristic classification: {vector.value if vector else None}")
         # What a dynamic analysis (PhishIntention-style) additionally sees:
-        chain = browser.follow_workflow(url, now=10)
+        chain = follow_workflow(pages, url, now=10)
         if len(chain) > 1:
             print(f"   clicking the call-to-action lands on {chain[1].url} "
                   f"(credentials there: "

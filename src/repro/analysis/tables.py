@@ -10,7 +10,7 @@ import numpy as np
 
 from ..core.classifier import FreePhishClassifier
 from ..core.monitor import UrlTimeline
-from ..core.preprocess import ProcessedPage
+from ..core.preprocess import Preprocessor, ProcessedPage
 from ..ml import classification_summary, train_test_split
 from ..simnet.web import Web
 from ..sitegen.legitimate import LegitimateSiteGenerator
@@ -149,7 +149,6 @@ def build_table2(
         URLNetDetector,
         VisualPhishNetDetector,
     )
-    from ..simnet.browser import Browser
 
     wanted = tuple(models) if models is not None else (
         "visualphishnet", "phishintention", "urlnet", "stackmodel", "ours",
@@ -165,7 +164,7 @@ def build_table2(
     factories: Dict[str, Callable[[], object]] = {
         "visualphishnet": lambda: VisualPhishNetDetector(random_state=seed),
         "phishintention": lambda: PhishIntentionDetector(
-            Browser(web), random_state=seed
+            Preprocessor(web), random_state=seed
         ),
         "urlnet": lambda: URLNetDetector(random_state=seed),
         "stackmodel": lambda: BaseStackModelDetector(

@@ -14,7 +14,7 @@ Our re-implementation mirrors both phases over the simulated browser:
   page heading/title.
 * **Phase 2 (dynamic)**: credential interface on the page itself, inside
   resolved iframes, or on any page reached via
-  :meth:`~repro.simnet.browser.Browser.follow_workflow`; drive-by download
+  :func:`~repro.simnet.browser.follow_workflow`; drive-by download
   payloads also count as malicious intention.
 
 A page is flagged only when both brand intent and a credential/payload
@@ -29,7 +29,7 @@ import numpy as np
 
 from ..core.preprocess import ProcessedPage
 from ..errors import NotFittedError
-from ..simnet.browser import Browser
+from ..simnet.browser import PageSource, follow_workflow
 from ..sitegen.brands import BrandCatalog, default_brand_catalog
 from ..webdoc import page_facts, parse_html
 from .visualphishnet import VisualPhishNetDetector
@@ -40,12 +40,13 @@ class PhishIntentionDetector:
 
     def __init__(
         self,
-        browser: Browser,
+        pages: PageSource,
         catalog: Optional[BrandCatalog] = None,
         random_state: Optional[int] = 7,
         max_hops: int = 3,
     ) -> None:
-        self.browser = browser
+        #: Where the dynamic phase reads the pages it clicks through to.
+        self.pages = pages
         self.catalog = catalog if catalog is not None else default_brand_catalog()
         self.max_hops = max_hops
         #: Reuse VisualPhishNet's gallery machinery for phase 1.
@@ -114,7 +115,7 @@ class PhishIntentionDetector:
         if snapshot.downloads and any(a.malicious for a in snapshot.downloads):
             return True
         # Dynamic analysis: click through the primary call-to-action chain.
-        chain = self.browser.follow_workflow(page.url, now, max_hops=self.max_hops)
+        chain = follow_workflow(self.pages, page.url, now, max_hops=self.max_hops)
         for hop in chain[1:]:
             if hop.facts.has_credential_fields:
                 return True

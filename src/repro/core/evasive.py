@@ -19,7 +19,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import Optional
 
-from ..simnet.browser import Browser, PageSnapshot
+from ..simnet.browser import PageSnapshot, PageSource, follow_workflow
 
 #: File detections at/above which the paper marks a payload malicious.
 MALWARE_DETECTION_THRESHOLD = 4
@@ -33,13 +33,15 @@ class EvasiveVector(str, Enum):
 
 def classify_evasive(
     snapshot: PageSnapshot,
-    browser: Browser,
+    pages: PageSource,
     now: Optional[int] = None,
 ) -> Optional[EvasiveVector]:
     """Classify a credential-field-free page into an evasive vector.
 
-    Returns ``None`` when the page has credential fields (not evasive) or
-    matches none of the three vectors.
+    Two-step hops are read from ``pages`` (the page store, or a
+    :class:`~repro.simnet.browser.Browser`). Returns ``None`` when the page
+    has credential fields (not evasive) or matches none of the three
+    vectors.
     """
     if snapshot.facts.has_credential_fields:
         return None
@@ -56,7 +58,7 @@ def classify_evasive(
             return EvasiveVector.IFRAME
 
     # Two-step: follow the primary call-to-action to another domain.
-    chain = browser.follow_workflow(snapshot.url, moment, max_hops=2)
+    chain = follow_workflow(pages, snapshot.url, moment, max_hops=2)
     for hop in chain[1:]:
         if hop.url.host != snapshot.url.host and hop.facts.has_credential_fields:
             return EvasiveVector.TWO_STEP

@@ -57,33 +57,16 @@ class NavigationResult:
 class FreePhishExtension:
     """Navigation guard over the simulated browser."""
 
-    def __init__(
-        self,
-        web: Web,
-        classifier: FreePhishClassifier,
-        browser: Optional[Browser] = None,
-        feed: Optional[Set[str]] = None,
-        service=None,
-        instrumentation=None,
-    ) -> None:
-        self.web = web
-        self.browser = browser if browser is not None else Browser(web)
-        self.classifier = classifier
-        if service is None:
-            # Deferred import: repro.serve imports NavigationVerdict from
-            # this module, so a top-level import here would be circular.
-            from ..serve.service import VerdictService
+    def __init__(self, web: Web, classifier: FreePhishClassifier) -> None:
+        # Deferred import: repro.serve imports NavigationVerdict from this
+        # module, so a top-level import here would be circular.
+        from ..serve.service import VerdictService
 
-            service = VerdictService(
-                web,
-                classifier,
-                browser=self.browser,
-                instrumentation=instrumentation,
-            )
+        self.web = web
+        self.browser = Browser(web)
+        self.classifier = classifier
         #: The serving stack that owns the cache/feed/model request path.
-        self.service = service
-        if feed:
-            self.service.update_feed(feed)
+        self.service = VerdictService(web, classifier)
         #: Normalized URL keys (``cache_key``) the user explicitly chose to
         #: proceed to ("Continue anyway").
         self.allowlist: Set[str] = set()

@@ -5,11 +5,14 @@ signature, the stand-in for a screenshot) and extracts the classifier's
 feature set. Unreachable URLs are dropped, mirroring the real pipeline.
 
 The :class:`Preprocessor` is the process's one page store, read by the
-framework and by threat intel: a bounded LRU of what each page version's
-:func:`~repro.core.features.snapshot_key` determines (its parse, its
-:class:`~repro.webdoc.PageFacts`, and its features once asked for).
-Fetch time, certificate, iframes, downloads and links can change while
-the markup does not, so every snapshot is assembled fresh. See ``docs/PERFORMANCE.md``.
+framework, by threat intel and by the workflow hops of the evasive and
+PhishIntention readers: a bounded LRU of what each page version's
+:func:`~repro.core.features.snapshot_key` determines (its
+:class:`~repro.webdoc.PageFacts`, and its features once asked for). It
+keeps no parsed tree: a snapshot parses its markup only when a visual
+baseline reads ``document``. Fetch time, certificate, iframes, downloads
+and links can change while the markup does not, so every snapshot is
+assembled fresh. See ``docs/PERFORMANCE.md``.
 """
 
 from __future__ import annotations
@@ -25,14 +28,14 @@ from ..obs.instrument import NULL_INSTRUMENTATION, Instrumentation
 from ..simnet.browser import Browser, PageSnapshot
 from ..simnet.url import URL
 from ..simnet.web import Web
-from ..webdoc import Document, PageFacts
+from ..webdoc import PageFacts
 from .features import FeatureExtractor, PageFeatures, snapshot_key
 
 #: Capacity of the snapshot-keyed page store, in page versions. Every
 #: measured hit is on one of the 14 (campaign), 51 (cold serving) or 199
 #: (hot serving over 200 URLs) most recently used entries, so 256 loses
-#: no reuse; a larger store only carries parsed documents that are never
-#: read again through every garbage collection. See ``docs/PERFORMANCE.md``.
+#: no reuse; a larger store only carries entries that are never read
+#: again. See ``docs/PERFORMANCE.md``.
 PAGE_CACHE_SIZE = 256
 
 
@@ -40,7 +43,6 @@ PAGE_CACHE_SIZE = 256
 class _StoredPage:
     """What one ``snapshot_key`` determines; features are filled lazily."""
 
-    document: Document
     facts: PageFacts
     features: Optional[PageFeatures] = None
     fwb_name: Optional[str] = None
@@ -70,11 +72,10 @@ class Preprocessor:
     def __init__(
         self,
         web: Web,
-        browser: Optional[Browser] = None,
         instrumentation: Optional[Instrumentation] = None,
     ) -> None:
         self.web = web
-        self.browser = browser if browser is not None else Browser(web)
+        self.browser = Browser(web)
         self._instr = (
             instrumentation if instrumentation is not None else NULL_INSTRUMENTATION
         )
@@ -101,16 +102,15 @@ class Preprocessor:
         result = self.browser.fetch(url, now)
         if not result.ok or result.download is not None:
             snapshot = self.browser.snapshot_from(result, now)
-            return snapshot, _StoredPage(snapshot.document, snapshot.facts)  # not stored
+            return snapshot, _StoredPage(snapshot.facts)  # not stored
         key = snapshot_key(url, result.markup)
         stored = self._page_cache.get(key)
         if stored is not None:
             self._page_cache.move_to_end(key)
             self._c_hit.inc()
-            parsed = stored.document, stored.facts
-            return self.browser.snapshot_from(result, now, parsed), stored
+            return self.browser.snapshot_from(result, now, stored.facts), stored
         snapshot = self.browser.snapshot_from(result, now)
-        stored = _StoredPage(snapshot.document, snapshot.facts)
+        stored = _StoredPage(snapshot.facts)
         self._c_miss.inc()
         self._page_cache[key] = stored
         while len(self._page_cache) > PAGE_CACHE_SIZE:

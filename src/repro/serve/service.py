@@ -38,7 +38,6 @@ from ..core.classifier import FreePhishClassifier
 from ..core.extension import NavigationVerdict
 from ..core.preprocess import Preprocessor
 from ..obs.instrument import NULL_INSTRUMENTATION, Instrumentation
-from ..simnet.browser import Browser
 from ..simnet.url import URL
 from ..simnet.web import Web
 from .admission import AdmissionController, AdmissionDecision, FastPathModel
@@ -104,8 +103,6 @@ class VerdictService:
         self,
         web: Web,
         classifier: FreePhishClassifier,
-        browser: Optional[Browser] = None,
-        feed: Optional[Iterable] = None,
         fast_path: Optional[FastPathModel] = None,
         max_batch_size: int = 32,
         max_wait_minutes: int = 2,
@@ -119,7 +116,7 @@ class VerdictService:
             instrumentation if instrumentation is not None else NULL_INSTRUMENTATION
         )
         self._instr = instr
-        self.preprocessor = Preprocessor(web, browser, instrumentation=instr)
+        self.preprocessor = Preprocessor(web, instrumentation=instr)
         self.cache = TieredVerdictCache(instrumentation=instr)
         self.batcher = MicroBatcher(
             self.preprocessor,
@@ -137,8 +134,6 @@ class VerdictService:
         self.max_batches_per_tick = max_batches_per_tick
         #: Normalized URL keys the backend framework has confirmed.
         self.feed: Set[str] = set()
-        if feed:
-            self.update_feed(feed)
         self._degraded_pending: List[PendingRequest] = []
         self._c_requests = instr.counter("serve.requests")
         self._c_served = {

@@ -2,9 +2,10 @@
 
 The pre-processing module (paper §4.1) stores a "full snapshot" of each
 website — screenshot plus source code. :meth:`Browser.snapshot` reproduces
-that: it fetches the page, parses it, renders a visual signature, collects
-iframe sources and their (client-side rendered) contents, and records any
-file downloads the page triggers.
+that: it fetches the page, reads its :class:`~repro.webdoc.PageFacts`,
+collects iframe sources and their (client-side rendered) contents, and
+records any file downloads the page triggers. The parsed tree and the
+rendered visual signature are built only when a visual baseline asks.
 
 The iframe point matters for §5.5: scanners that look only at the fetched
 markup never see the phishing content inside an embedded iframe, because it
@@ -53,8 +54,7 @@ class PageSnapshot:
     url: URL
     fetched_at: int
     markup: str
-    document: Document
-    #: What the page readers use, read once from ``document``.
+    #: What the page readers use, read once per page version.
     facts: PageFacts
     certificate: Optional[Certificate]
     #: (iframe src URL, markup of the framed page) for same-session resolvable
@@ -64,10 +64,24 @@ class PageSnapshot:
     downloads: List[FileAsset] = field(default_factory=list)
     #: External link-out targets (the §5.5 two-step vector).
     outbound_links: List[URL] = field(default_factory=list)
+    #: Lazily parsed document (see the ``document`` property).
+    _document: Optional[Document] = field(default=None, repr=False, compare=False)
     #: Lazily rendered visual signature (see the ``signature`` property).
     _signature: Optional[VisualSignature] = field(
         default=None, repr=False, compare=False
     )
+
+    @property
+    def document(self) -> Document:
+        """The parsed :class:`~repro.webdoc.Document` of ``markup``.
+
+        Parsed on first access and memoized: only the visual baselines read
+        the tree, so neither the page store nor the classifier hot path
+        keeps one.
+        """
+        if self._document is None:
+            self._document = parse_html(self.markup)
+        return self._document
 
     @property
     def signature(self) -> VisualSignature:
@@ -132,27 +146,25 @@ class Browser:
         self,
         result: FetchResult,
         now: int,
-        parsed: Optional[Tuple[Document, PageFacts]] = None,
+        facts: Optional[PageFacts] = None,
     ) -> PageSnapshot:
         """Complete a snapshot from an already-fetched :class:`FetchResult`.
 
-        The markup is parsed and its facts read unless that ``parsed`` pair
-        is passed in; the rest is read at ``now`` on every call. The
-        simulated web is deterministic at fixed ``now``, so the result is
-        identical to :meth:`snapshot`.
+        The markup is parsed and its facts read unless those ``facts`` are
+        passed in; only the facts are kept. The rest is read at ``now`` on
+        every call. The simulated web is deterministic at fixed ``now``, so
+        the result is identical to :meth:`snapshot`.
         """
         url = result.url
         if not result.ok:
             raise SiteRemovedError(f"cannot snapshot {url} (status {result.status})")
-        if parsed is None:
-            document = parse_html(result.markup)
-            parsed = document, page_facts(document, result.markup)
+        if facts is None:
+            facts = page_facts(parse_html(result.markup), result.markup)
         snapshot = PageSnapshot(
             url=url,
             fetched_at=now,
             markup=result.markup,
-            document=parsed[0],
-            facts=parsed[1],
+            facts=facts,
             certificate=result.certificate,
         )
         if result.download is not None:
@@ -164,22 +176,9 @@ class Browser:
 
     # -- helpers -----------------------------------------------------------------
 
-    def _absolute(self, base: URL, href: str) -> Optional[URL]:
-        href = (href or "").strip()
-        if not href or href.startswith(("#", "javascript:", "mailto:")):
-            return None
-        try:
-            if href.startswith(("http://", "https://")):
-                return parse_url(href)
-            if href.startswith("/"):
-                return base.with_path(href)
-            return base.with_path("/" + href)
-        except URLError:
-            return None
-
     def _resolve_iframes(self, snapshot: PageSnapshot, now: int) -> None:
         for src_attr in snapshot.facts.iframe_srcs:
-            src = self._absolute(snapshot.url, src_attr)
+            src = _absolute(snapshot.url, src_attr)
             if src is None:
                 continue
             framed = self.fetch(src, now)
@@ -189,7 +188,7 @@ class Browser:
 
     def _collect_links(self, snapshot: PageSnapshot, now: int) -> None:
         for anchor in snapshot.facts.anchors:
-            target = self._absolute(snapshot.url, anchor.href)
+            target = _absolute(snapshot.url, anchor.href)
             if target is None:
                 continue
             if target.host != snapshot.url.host:
@@ -199,38 +198,58 @@ class Browser:
                 if fetched.ok and fetched.download is not None:
                     snapshot.downloads.append(fetched.download)
 
-    # -- multi-hop navigation (PhishIntention-style dynamic analysis) -------------
 
-    def follow_workflow(self, url: URL, now: int, max_hops: int = MAX_HOPS) -> List[PageSnapshot]:
-        """Simulate a user clicking through the page's primary call-to-action.
-
-        Returns the chain of snapshots starting at ``url``. Used by the
-        PhishIntention baseline (dynamic analysis) and by the §5.5 two-step
-        heuristics.
-        """
-        chain: List[PageSnapshot] = []
-        seen = set()
-        current: Optional[URL] = url
-        for _ in range(max_hops):
-            if current is None or str(current) in seen:
-                break
-            seen.add(str(current))
-            try:
-                snapshot = self.snapshot(current, now)
-            except FetchError:
-                break
-            chain.append(snapshot)
-            current = self._primary_action_target(snapshot)
-        return chain
-
-    def _primary_action_target(self, snapshot: PageSnapshot) -> Optional[URL]:
-        """The URL a user lands on after clicking the page's main button."""
-        # Prefer call-to-action anchors, then any outbound link.
-        for anchor in snapshot.facts.anchors:
-            if anchor.call_to_action:
-                target = self._absolute(snapshot.url, anchor.href)
-                if target is not None and target.host != snapshot.url.host:
-                    return target
-        if snapshot.outbound_links:
-            return snapshot.outbound_links[0]
+def _absolute(base: URL, href: str) -> Optional[URL]:
+    href = (href or "").strip()
+    if not href or href.startswith(("#", "javascript:", "mailto:")):
         return None
+    try:
+        if href.startswith(("http://", "https://")):
+            return parse_url(href)
+        if href.startswith("/"):
+            return base.with_path(href)
+        return base.with_path("/" + href)
+    except URLError:
+        return None
+
+
+# -- multi-hop navigation (PhishIntention-style dynamic analysis) -----------------
+
+
+def follow_workflow(
+    pages: PageSource, url: URL, now: int, max_hops: int = MAX_HOPS
+) -> List[PageSnapshot]:
+    """Simulate a user clicking through the page's primary call-to-action.
+
+    Returns the chain of snapshots, read from ``pages``, starting at
+    ``url``. Used by the PhishIntention baseline (dynamic analysis) and by
+    the §5.5 two-step heuristics; passing the page store parses each hop's
+    version once.
+    """
+    chain: List[PageSnapshot] = []
+    seen = set()
+    current: Optional[URL] = url
+    for _ in range(max_hops):
+        if current is None or str(current) in seen:
+            break
+        seen.add(str(current))
+        try:
+            snapshot = pages.snapshot(current, now)
+        except FetchError:
+            break
+        chain.append(snapshot)
+        current = _primary_action_target(snapshot)
+    return chain
+
+
+def _primary_action_target(snapshot: PageSnapshot) -> Optional[URL]:
+    """The URL a user lands on after clicking the page's main button."""
+    # Prefer call-to-action anchors, then any outbound link.
+    for anchor in snapshot.facts.anchors:
+        if anchor.call_to_action:
+            target = _absolute(snapshot.url, anchor.href)
+            if target is not None and target.host != snapshot.url.host:
+                return target
+    if snapshot.outbound_links:
+        return snapshot.outbound_links[0]
+    return None

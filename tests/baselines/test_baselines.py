@@ -13,6 +13,7 @@ from repro.core import FreePhishClassifier
 from repro.errors import NotFittedError
 from repro.ml import StackModel, train_test_split
 from repro.simnet import Browser
+from repro.simnet.browser import follow_workflow
 from repro.webdoc import page_facts, parse_html
 
 
@@ -160,7 +161,7 @@ class TestPhishIntention:
         def reparsing_reference(page, now):
             snapshot = page.snapshot
             framed = [markup for _src, markup in snapshot.iframe_contents]
-            chain = browser.follow_workflow(page.url, now, max_hops=detector.max_hops)
+            chain = follow_workflow(browser, page.url, now, max_hops=detector.max_hops)
             for markup in [snapshot.markup] + framed:
                 if page_facts(parse_html(markup), markup).has_credential_fields:
                     return True
@@ -182,7 +183,7 @@ class TestPhishIntention:
             assert detector._credential_interface(page, 10) == reparsing_reference(page, 10)
         for page in two_step:
             del parse_calls[:]
-            chain = browser.follow_workflow(page.url, 10, max_hops=detector.max_hops)
+            chain = follow_workflow(browser, page.url, 10, max_hops=detector.max_hops)
             workflow_parses = len(parse_calls)
             del parse_calls[:]
             assert detector._credential_interface(page, 10)

@@ -10,7 +10,7 @@ import pytest
 
 from repro.core.extension import FreePhishExtension, NavigationVerdict
 from repro.serve.service import ServedFrom
-from repro.simnet.browser import Browser
+from repro.simnet.browser import Browser, follow_workflow
 from repro.sitegen.phishing import PhishingVariant
 
 
@@ -45,7 +45,7 @@ class TestRedirectChains:
         landing = _linked_site(
             world, rng, PhishingVariant.TWO_STEP, str(credential.root_url)
         )
-        chain = Browser(world.web).follow_workflow(landing.root_url, now=10 ** 6 + 5)
+        chain = follow_workflow(Browser(world.web), landing.root_url, now=10 ** 6 + 5)
         assert len(chain) >= 2
         assert chain[1].url.host == credential.root_url.host
         assert chain[0].url.host != chain[1].url.host
@@ -57,7 +57,7 @@ class TestRedirectChains:
             world, rng, PhishingVariant.TWO_STEP, str(credential.root_url)
         )
         ext.update_feed([str(credential.root_url)])
-        chain = Browser(world.web).follow_workflow(landing.root_url, now=10 ** 6 + 5)
+        chain = follow_workflow(Browser(world.web), landing.root_url, now=10 ** 6 + 5)
         verdicts = [ext.check(snapshot.url, 10 ** 6 + 6) for snapshot in chain]
         # Wherever the user bails mid-chain, the terminal phish never renders.
         assert verdicts[-1] is NavigationVerdict.BLOCKED_FEED

@@ -80,8 +80,8 @@ class TestPreprocessorCache:
         pre = Preprocessor(web, instrumentation=instr)
         first = pre.process(live_urls[0], now=0)
         second = pre.process(live_urls[0], now=30)
-        # The version's parse and features are shared; the snapshot is new.
-        assert second.snapshot.document is first.snapshot.document
+        # The version's facts and features are shared; the snapshot is new.
+        assert second.snapshot.facts is first.snapshot.facts
         assert second.features is first.features
         assert second.snapshot.fetched_at == 30
         assert self._counters(instr) == (1, 1, 0)
@@ -107,11 +107,11 @@ class TestPreprocessorCache:
         pre.process(url_c, now=5)
         still_cached = pre.process(url_a, now=10)  # A survived
         assert still_cached.features is a.features
-        assert still_cached.snapshot.document is a.snapshot.document
+        assert still_cached.snapshot.facts is a.snapshot.facts
         assert still_cached.snapshot.fetched_at == 10
         reloaded = pre.process(url_b, now=10)  # B was evicted
         assert reloaded.features is not b.features
-        assert reloaded.snapshot.document is not b.snapshot.document
+        assert reloaded.snapshot.facts is not b.snapshot.facts
         assert self._counters(instr) == (2, 4, 2)
 
     def test_unreachable_returns_none_without_caching(self, web):

@@ -1,11 +1,13 @@
 """The :class:`Preprocessor` page store: one parse per page version.
 
 The store memoizes only what a page version's ``snapshot_key`` determines
-(its parsed document and its features). Everything that can change while
+(its facts and its features); a snapshot parses its markup again only when
+``document`` is read. Everything that can change while
 the markup stays the same — fetch time, certificate, iframe contents,
 downloads, outbound links — is read afresh on every call, so a store hit
 after a target takedown sees the takedown. Intel reads pages through the
-same store, so the framework and the ecosystem parse each version once.
+same store, and so do the workflow hops of the evasive heuristics, so the
+framework, the ecosystem and the §5.5 readers parse each version once.
 """
 
 import numpy as np
@@ -15,6 +17,7 @@ import repro.core.preprocess as preprocess_module
 from repro.config import SimulationConfig
 from repro.core import Preprocessor
 from repro.core.classifier import FreePhishClassifier
+from repro.core.evasive import EvasiveVector, classify_evasive
 from repro.ecosystem.intel import gather_intel
 from repro.errors import FetchError
 from repro.ml import RandomForestClassifier
@@ -23,6 +26,7 @@ from repro.serve import VerdictService
 from repro.sim import CampaignWorld, build_ground_truth
 from repro.simnet import Browser
 from repro.sitegen.phishing import PhishingVariant
+from repro.webdoc import parse_html
 
 BEFORE, TAKEDOWN, AFTER = 10, 100, 500
 
@@ -68,8 +72,7 @@ class TestFreshAssembly:
         later = pre.process(url, AFTER)
         assert later.snapshot.fetched_at == AFTER
         assert [markup for _src, markup in later.snapshot.iframe_contents] == [""]
-        # Same page version: the parse, its facts and the features are shared.
-        assert later.snapshot.document is first.snapshot.document
+        # Same page version: its facts and the features are shared.
         assert later.snapshot.facts is first.snapshot.facts
         assert later.features is first.features
 
@@ -82,7 +85,7 @@ class TestFreshAssembly:
         later = pre.process(url, AFTER)
         assert later.snapshot.fetched_at == AFTER
         assert later.snapshot.downloads == []
-        assert later.snapshot.document is first.snapshot.document
+        assert later.snapshot.facts is first.snapshot.facts
         assert later.features is first.features
 
     def test_bare_file_download_bypasses_the_store(self, web, rng,
@@ -140,6 +143,37 @@ class TestParityWithBrowser:
             Preprocessor(web).snapshot(target.root_url, AFTER)
         assert type(from_store.value) is type(from_browser.value)
         assert str(from_store.value) == str(from_browser.value)
+
+
+class TestLazyDocument:
+    def test_store_hit_parses_only_when_the_document_is_read(
+        self, corpus, parse_calls
+    ):
+        pre = Preprocessor(corpus.web)
+        url = _page(corpus, "iframe").url
+        pre.snapshot(url, BEFORE)
+        del parse_calls[:]
+        snapshot = pre.snapshot(url, AFTER)
+        assert parse_calls == []
+        document = snapshot.document
+        assert parse_calls == [snapshot.markup]
+        assert snapshot.document is document
+        assert len(parse_calls) == 1
+        assert document.to_html() == parse_html(snapshot.markup).to_html()
+
+    def test_second_evasive_pass_parses_nothing(self, corpus, parse_calls):
+        """Landing pages and their two-step hops both come from the store."""
+        pre = Preprocessor(corpus.web)
+        urls = [page.url for page in corpus.pages]
+
+        def sweep():
+            return [classify_evasive(pre.snapshot(url, BEFORE), pre) for url in urls]
+
+        first = sweep()
+        assert EvasiveVector.TWO_STEP in first
+        del parse_calls[:]
+        assert sweep() == first
+        assert parse_calls == []
 
 
 def test_campaign_parses_each_page_version_once(parse_calls):

@@ -5,6 +5,7 @@ import pytest
 from repro.core.evasive import EvasiveVector, classify_evasive
 from repro.sim import AttackerModel, attacker as attacker_module
 from repro.simnet import Browser, Web
+from repro.simnet.browser import follow_workflow
 from repro.simnet.url import parse_url
 from repro.social import FacebookPlatform, TwitterPlatform
 
@@ -34,9 +35,8 @@ class TestDeepChains:
     def test_chain_reaches_credentials_within_three_hops(self, deep_world):
         web, attacker = deep_world
         attack = _find_two_step(attacker)
-        browser = Browser(web)
-        chain = browser.follow_workflow(attack.site.root_url, now=10 ** 6,
-                                        max_hops=4)
+        chain = follow_workflow(Browser(web), attack.site.root_url, now=10 ** 6,
+                                max_hops=4)
         assert len(chain) >= 2
         final = chain[-1]
         assert final.facts.n_password_inputs or final.facts.n_credential_inputs

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import SiteRemovedError
 from repro.simnet import Browser, Web
+from repro.simnet.browser import follow_workflow
 from repro.simnet.hosting import FileAsset
 from repro.simnet.url import parse_url
 
@@ -93,7 +94,7 @@ class TestSnapshot:
         site = _make_site(web)
         target = web.self_hosting.create_site("target.example.xyz", owner="a", now=0)
         target.add_page("/", "<html><body><form><input type=password></form></body></html>")
-        chain = browser.follow_workflow(site.root_url, now=10)
+        chain = follow_workflow(browser, site.root_url, now=10)
         assert len(chain) == 2
         assert chain[1].url.host == "target.example.xyz"
 
@@ -102,7 +103,7 @@ class TestSnapshot:
         b = web.fwb_providers["wix"].create_site("cyc-b", owner="u", now=0)
         a.add_page("/", '<a class="btn" href="https://cyc-b.wixsite.com/">go</a>')
         b.add_page("/", '<a class="btn" href="https://cyc-a.weebly.com/">back</a>')
-        chain = browser.follow_workflow(a.root_url, now=5)
+        chain = follow_workflow(browser, a.root_url, now=5)
         assert len(chain) == 2  # cycle cut
 
 

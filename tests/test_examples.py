@@ -30,6 +30,7 @@ class TestExamples:
         assert result.returncode == 0, result.stderr
         for vector in ("two_step", "iframe", "driveby"):
             assert vector in result.stdout
+        assert "clicking the call-to-action lands on" in result.stdout
 
     def test_browser_extension(self):
         result = _run("browser_extension.py")
